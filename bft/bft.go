@@ -60,6 +60,11 @@ type (
 	Options = core.Options
 	// StateMachine is the deterministic service being replicated.
 	StateMachine = core.StateMachine
+	// Frozen is a read-only view of service state (StateMachine.Freeze).
+	Frozen = core.Frozen
+	// FrozenBytes is a Frozen over an already-serialised snapshot, the
+	// simplest Freeze for services with small state.
+	FrozenBytes = core.FrozenBytes
 	// Counters reports replica progress statistics.
 	Counters = core.Counters
 	// ClientCounters reports client-side protocol statistics.

@@ -34,6 +34,8 @@ func (c *counterSM) StateDigest() crypto.Digest {
 	return crypto.Hash([]byte(fmt.Sprintf("%d", c.n)))
 }
 
+func (c *counterSM) Freeze() bft.Frozen { return bft.FrozenBytes(c.Snapshot()) }
+
 func (c *counterSM) Snapshot() []byte {
 	c.mu.Lock()
 	defer c.mu.Unlock()

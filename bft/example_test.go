@@ -30,6 +30,8 @@ func (c *exampleSM) Execute(client int32, op []byte, readOnly bool) []byte {
 
 func (c *exampleSM) StateDigest() crypto.Digest { return crypto.Hash(c.Snapshot()) }
 
+func (c *exampleSM) Freeze() bft.Frozen { return bft.FrozenBytes(c.Snapshot()) }
+
 func (c *exampleSM) Snapshot() []byte {
 	c.mu.Lock()
 	defer c.mu.Unlock()

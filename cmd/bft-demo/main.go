@@ -44,6 +44,8 @@ func (c *counter) StateDigest() crypto.Digest {
 	return crypto.Hash([]byte(strconv.FormatInt(c.n, 10)))
 }
 
+func (c *counter) Freeze() bft.Frozen { return bft.FrozenBytes(c.Snapshot()) }
+
 func (c *counter) Snapshot() []byte {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -63,6 +63,8 @@ func (k *kvSM) Execute(client int32, op []byte, readOnly bool) []byte {
 
 func (k *kvSM) StateDigest() crypto.Digest { return crypto.Hash(k.Snapshot()) }
 
+func (k *kvSM) Freeze() bft.Frozen { return bft.FrozenBytes(k.Snapshot()) }
+
 func (k *kvSM) Snapshot() []byte {
 	k.mu.Lock()
 	defer k.mu.Unlock()
@@ -126,6 +128,7 @@ func (l lyingKV) Execute(client int32, op []byte, readOnly bool) []byte {
 	return []byte("LIES")                 // ...but answer garbage
 }
 func (l lyingKV) StateDigest() crypto.Digest { return crypto.Hash([]byte("LIES")) }
+func (l lyingKV) Freeze() bft.Frozen         { return l.inner.Freeze() }
 func (l lyingKV) Snapshot() []byte           { return l.inner.Snapshot() }
 func (l lyingKV) Restore(snap []byte) error  { return l.inner.Restore(snap) }
 

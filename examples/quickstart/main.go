@@ -38,6 +38,8 @@ func (c *counterSM) StateDigest() crypto.Digest {
 	return crypto.Hash(c.Snapshot())
 }
 
+func (c *counterSM) Freeze() bft.Frozen { return bft.FrozenBytes(c.Snapshot()) }
+
 func (c *counterSM) Snapshot() []byte {
 	c.mu.Lock()
 	defer c.mu.Unlock()

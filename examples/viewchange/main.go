@@ -34,6 +34,8 @@ func (c *counterSM) Execute(client int32, op []byte, readOnly bool) []byte {
 
 func (c *counterSM) StateDigest() crypto.Digest { return crypto.Hash(c.Snapshot()) }
 
+func (c *counterSM) Freeze() bft.Frozen { return bft.FrozenBytes(c.Snapshot()) }
+
 func (c *counterSM) Snapshot() []byte {
 	c.mu.Lock()
 	defer c.mu.Unlock()

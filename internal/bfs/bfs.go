@@ -165,6 +165,9 @@ func writeHandle(op []byte) uint64 {
 // hierarchical checkpoints).
 func (s *Service) StateDigest() crypto.Digest { return s.fsys.Digest() }
 
+// Freeze implements core.StateMachine with an eager serialisation.
+func (s *Service) Freeze() core.Frozen { return core.FrozenBytes(s.Snapshot()) }
+
 // Snapshot implements core.StateMachine.
 func (s *Service) Snapshot() []byte { return s.fsys.Snapshot() }
 

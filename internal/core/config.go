@@ -114,11 +114,14 @@ type Config struct {
 	// most one instance.
 	Instances int
 
-	// CheckpointSnapshots retains a state snapshot at each checkpoint so
-	// the replica can serve state transfer and roll back tentative
-	// execution across view changes. Benchmarks of the fault-free normal
-	// case may disable it to avoid snapshot cost, like the paper's
-	// copy-on-write checkpoints kept it negligible.
+	// CheckpointSnapshots retains the state at each checkpoint so the
+	// replica can serve state transfer and roll back tentative execution
+	// across view changes. The state is retained as a frozen view
+	// (StateMachine.Freeze) and serialised only when a peer or a rollback
+	// needs it, so its cost is the service's Freeze: near zero for
+	// copy-on-write services such as kvservice, a full serialisation for
+	// services that freeze eagerly. The simulator's fault-free
+	// micro-benchmarks disable it.
 	CheckpointSnapshots bool
 
 	// ViewChangeTimeout is how long a backup waits for a pending request

@@ -296,60 +296,93 @@ func (r *Replica) flushHeldReadOnly() {
 	r.pendingRO = keep
 }
 
-// clientTableDigest folds the execution-visible client state (which client
-// timestamps executed, with which results) into a digest. Only clients with
-// a stored reply participate: transient request buffering differs across
-// replicas, executed history does not.
-func (r *Replica) clientTableDigest() crypto.Digest {
-	ids := make([]int, 0, len(r.clients))
+// frozenClient is one executed client's entry in the checkpointed client
+// table: the timestamp it last executed and that request's result, held by
+// reference (StateMachine.Execute results are never modified).
+type frozenClient struct {
+	id      int32
+	ts      int64
+	result  []byte
+	resultD crypto.Digest
+}
+
+// clientTable captures the execution-visible client state (which client
+// timestamps executed, with which results) in client id order. Only
+// clients with a stored reply participate: transient request buffering
+// differs across replicas, executed history does not.
+func (r *Replica) clientTable() []frozenClient {
+	table := make([]frozenClient, 0, len(r.clients))
 	for id, rec := range r.clients {
 		if rec.lastReply != nil {
-			ids = append(ids, int(id))
+			table = append(table, frozenClient{
+				id: id, ts: rec.lastTimestamp,
+				result: rec.lastReply.Result, resultD: rec.lastReply.ResultD,
+			})
 		}
 	}
-	sort.Ints(ids)
-	e := message.NewEncoder(len(ids) * 28)
-	for _, id := range ids {
-		rec := r.clients[int32(id)]
-		e.I32(int32(id))
-		e.I64(rec.lastTimestamp)
-		e.Digest(rec.lastReply.ResultD)
-	}
-	return r.suite.Digest(e.Bytes())
+	sort.Slice(table, func(i, j int) bool { return table[i].id < table[j].id })
+	return table
 }
 
 // checkpointDigest combines the service digest with the client table.
 func (r *Replica) checkpointDigest() crypto.Digest {
-	ctd := r.clientTableDigest()
+	return r.checkpointDigestOf(r.clientTable())
+}
+
+// checkpointDigestOf is checkpointDigest over a captured client table.
+func (r *Replica) checkpointDigestOf(table []frozenClient) crypto.Digest {
+	e := message.NewEncoder(len(table) * 28)
+	for _, c := range table {
+		e.I32(c.id)
+		e.I64(c.ts)
+		e.Digest(c.resultD)
+	}
+	ctd := r.suite.Digest(e.Bytes())
 	smd := r.sm.StateDigest()
 	return r.suite.Digest(ctd[:], smd[:])
 }
 
-// encodeSnapshot serializes the full replica-visible state: the client
-// table and the service state.
-func (r *Replica) encodeSnapshot() []byte {
-	ids := make([]int, 0, len(r.clients))
-	for id, rec := range r.clients {
-		if rec.lastReply != nil {
-			ids = append(ids, int(id))
-		}
-	}
-	sort.Ints(ids)
-	sm := r.sm.Snapshot()
-	e := message.NewEncoder(64 + len(ids)*64 + len(sm))
-	e.Count(len(ids))
-	for _, id := range ids {
-		rec := r.clients[int32(id)]
-		e.I32(int32(id))
-		e.I64(rec.lastTimestamp)
-		e.Blob(rec.lastReply.Result)
-	}
-	e.Blob(sm)
-	return e.Bytes()
+// frozenCheckpoint is the replica-visible state retained at a checkpoint:
+// the client table and the service's frozen view. It is serialised only
+// when a peer fetches the checkpoint or a view change rolls back to it;
+// the bytes are then cached and the frozen parts released.
+type frozenCheckpoint struct {
+	clients []frozenClient
+	sm      Frozen
+	bytes   []byte
 }
 
-// restoreSnapshot replaces the replica-visible state from encodeSnapshot
-// output.
+// freezeCheckpoint captures the current replica-visible state.
+func (r *Replica) freezeCheckpoint() *frozenCheckpoint {
+	return &frozenCheckpoint{clients: r.clientTable(), sm: r.sm.Freeze()}
+}
+
+// encoded returns the checkpoint's serialisation, the input format of
+// restoreSnapshot.
+func (c *frozenCheckpoint) encoded() []byte {
+	if c.bytes != nil {
+		return c.bytes
+	}
+	sm := c.sm.Snapshot()
+	size := 16 + len(sm)
+	for _, fc := range c.clients {
+		size += 24 + len(fc.result)
+	}
+	e := message.NewEncoder(size)
+	e.Count(len(c.clients))
+	for _, fc := range c.clients {
+		e.I32(fc.id)
+		e.I64(fc.ts)
+		e.Blob(fc.result)
+	}
+	e.Blob(sm)
+	c.bytes = e.Bytes()
+	c.clients, c.sm = nil, nil
+	return c.bytes
+}
+
+// restoreSnapshot replaces the replica-visible state from a
+// frozenCheckpoint serialisation.
 func (r *Replica) restoreSnapshot(snap []byte) error {
 	d := message.NewDecoder(snap)
 	n := d.Count()
@@ -388,13 +421,14 @@ func (r *Replica) restoreSnapshot(snap []byte) error {
 	return nil
 }
 
-// takeCheckpoint digests the state at batch seq, retains a snapshot when
+// takeCheckpoint digests the state at batch seq, freezes it when
 // configured, and announces the checkpoint to the group.
 func (r *Replica) takeCheckpoint(seq int64) {
 	r.trace(obs.EvCheckpoint, seq, 0, 0)
-	d := r.checkpointDigest()
+	table := r.clientTable()
+	d := r.checkpointDigestOf(table)
 	if r.cfg.CheckpointSnapshots {
-		r.snapshots[seq] = r.encodeSnapshot()
+		r.snapshots[seq] = &frozenCheckpoint{clients: table, sm: r.sm.Freeze()}
 	}
 	r.recordCheckpoint(seq, int32(r.cfg.Self), d)
 	ck := &message.Checkpoint{Seq: seq, StateD: d, Replica: int32(r.cfg.Self)}

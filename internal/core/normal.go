@@ -50,7 +50,14 @@ func (r *Replica) admitRequest(req *message.Request, raw []byte, d crypto.Digest
 	}
 
 	if _, ok := r.inFlight[d]; ok {
-		return // already being ordered
+		// Already being ordered. The pre-prepare may have overtaken the
+		// body (separate request transmission delivers them in any
+		// order): fill the slots waiting for it.
+		if len(r.missingBody[d]) > 0 {
+			r.reqBuffer[d] = &bufferedRequest{req: req, raw: raw, digest: d, relayed: true}
+			r.fillWaitingSlots(d, req)
+		}
+		return
 	}
 	if buf, ok := r.reqBuffer[d]; ok {
 		// Duplicate transmission; keep the widest replier designation so a
@@ -63,15 +70,7 @@ func (r *Replica) admitRequest(req *message.Request, raw []byte, d crypto.Digest
 
 	buf := &bufferedRequest{req: req, raw: raw, digest: d}
 	r.reqBuffer[d] = buf
-
-	// Fill any pre-prepare that was waiting for this body (separate
-	// request transmission delivers bodies and assignments in any order).
-	if seqs := r.missingBody[d]; len(seqs) > 0 {
-		delete(r.missingBody, d)
-		for _, seq := range seqs {
-			r.fillMissing(r.log[seq], d, req)
-		}
-	}
+	r.fillWaitingSlots(d, req)
 
 	if r.inViewChange {
 		return
@@ -101,6 +100,15 @@ func (r *Replica) clientRec(client int32) *clientRecord {
 		r.clients[client] = rec
 	}
 	return rec
+}
+
+// fillWaitingSlots resolves every slot waiting for the body of request d.
+func (r *Replica) fillWaitingSlots(d crypto.Digest, req *message.Request) {
+	seqs := r.missingBody[d]
+	delete(r.missingBody, d)
+	for _, seq := range seqs {
+		r.fillMissing(r.log[seq], d, req)
+	}
 }
 
 // fillMissing resolves one missing request body in a slot.
@@ -553,11 +561,7 @@ func (r *Replica) fillBodiesFromPP(s *slot, pp *message.PrePrepare) {
 		if _, buffered := r.reqBuffer[d]; !buffered {
 			r.reqBuffer[d] = &bufferedRequest{req: req, raw: ref.Inline, digest: d, relayed: true}
 		}
-		seqs := r.missingBody[d]
-		delete(r.missingBody, d)
-		for _, seq := range seqs {
-			r.fillMissing(r.log[seq], d, req)
-		}
+		r.fillWaitingSlots(d, req)
 	}
 }
 

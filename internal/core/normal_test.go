@@ -565,3 +565,69 @@ func TestTraceNormalCaseCommit(t *testing.T) {
 		}
 	})
 }
+
+// TestLateBodyResolvesSlot delivers a separately transmitted request body
+// to a backup only after the primary's pre-prepare for it. The body must
+// fill the waiting slot at once, so the backup prepares without fetching
+// anything (no timer runs in between).
+func TestLateBodyResolvesSlot(t *testing.T) {
+	g := buildGroup(t, 4, []int{100}, nil)
+	const late = 2
+	large := string(bytes.Repeat([]byte("v"), 1000)) // > InlineThreshold
+	holding := false
+	var held []byte
+	g.c.drop = func(src, dst int, data []byte) bool {
+		if holding && src == 100 && dst == late && len(data) > 0 && message.Type(data[0]) == message.TypeRequest {
+			held = append([]byte(nil), data...)
+			return true
+		}
+		return false
+	}
+	fetches, prepares := 0, 0
+	g.c.observe = func(src, dst int, data []byte) {
+		if src != late || len(data) == 0 {
+			return
+		}
+		switch message.Type(data[0]) {
+		case message.TypeFetch:
+			fetches++
+		case message.TypePrepare:
+			prepares++
+		}
+	}
+	g.c.start()
+	g.invoke(100, opSet("warm", "up"), false)
+
+	holding = true
+	done := 0
+	g.invokeAsync(100, opSet("big", large), false, &done)
+	g.c.pump()
+	holding = false
+	if held == nil {
+		t.Fatal("setup failed: the body multicast never reached the late replica")
+	}
+	var waiting *slot
+	for _, s := range g.replicas[late].log {
+		if s.havePP && s.missing > 0 {
+			waiting = s
+		}
+	}
+	if waiting == nil {
+		t.Fatal("setup failed: the pre-prepare did not arrive before the body")
+	}
+
+	prepares = 0
+	g.c.queue = append(g.c.queue, delivery{src: 100, dst: late, data: held})
+	g.c.pump()
+	if waiting.missing != 0 || !waiting.sentPrepare {
+		t.Fatalf("late body left slot %d unresolved (missing=%d, sentPrepare=%v)", waiting.seq, waiting.missing, waiting.sentPrepare)
+	}
+	if prepares == 0 {
+		t.Fatal("late replica sent no prepare after the body arrived")
+	}
+	if fetches != 0 {
+		t.Fatalf("late replica sent %d fetches; the body should have sufficed", fetches)
+	}
+	g.c.run(func() bool { return done == 1 }, 10*time.Second, "the large set")
+	g.agreeState()
+}

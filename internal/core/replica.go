@@ -85,7 +85,7 @@ type Replica struct {
 	queue     []crypto.Digest         // primary's pending request queue
 
 	checkpoints map[int64]map[int32]crypto.Digest
-	snapshots   map[int64][]byte
+	snapshots   map[int64]*frozenCheckpoint
 
 	pendingRO      []heldReply
 	pendingCommits []message.CommitRef // piggyback buffer
@@ -129,7 +129,7 @@ type Replica struct {
 	execResults [][]byte
 	execDigests []crypto.Digest
 
-	rec    *obs.Recorder    // nil disables tracing
+	rec    *obs.Recorder     // nil disables tracing
 	phases *obs.PhaseTracker // nil disables live phase histograms
 	stats  Counters
 
@@ -207,7 +207,7 @@ func NewReplica(cfg Config, sm StateMachine, keys *crypto.KeyTable, meter crypto
 		reqBuffer:   make(map[crypto.Digest]*bufferedRequest),
 		inFlight:    make(map[crypto.Digest]int64),
 		checkpoints: make(map[int64]map[int32]crypto.Digest),
-		snapshots:   make(map[int64][]byte),
+		snapshots:   make(map[int64]*frozenCheckpoint),
 		pset:        make(map[int64]message.PQEntry),
 		qset:        make(map[int64]message.PQEntry),
 		vcs:         make(map[int64]map[int32]*vcRecord),
@@ -287,7 +287,7 @@ func (r *Replica) Init(env proc.Env) {
 		aware.SetEnv(env)
 	}
 	if r.cfg.CheckpointSnapshots {
-		r.snapshots[0] = r.encodeSnapshot()
+		r.snapshots[0] = r.freezeCheckpoint()
 	}
 	r.stableDigest = r.checkpointDigest()
 	if r.cfg.StatusInterval > 0 {

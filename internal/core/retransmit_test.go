@@ -187,7 +187,7 @@ func TestSnapshotRoundTripAtReplicaLevel(t *testing.T) {
 	}
 	r := g.replicas[2]
 	want := r.checkpointDigest()
-	snap := r.encodeSnapshot()
+	snap := r.freezeCheckpoint().encoded()
 
 	// Restore into a sibling replica built fresh.
 	g2 := buildGroup(t, 4, []int{100}, nil)
@@ -227,7 +227,7 @@ func TestSnapshotPropertyRandomTables(t *testing.T) {
 			}
 		}
 		want := r.checkpointDigest()
-		snap := r.encodeSnapshot()
+		snap := r.freezeCheckpoint().encoded()
 		r.clients = make(map[int32]*clientRecord)
 		if err := r.restoreSnapshot(snap); err != nil {
 			return false

@@ -242,6 +242,8 @@ func (k *kvSM) Execute(client int32, op []byte, readOnly bool) []byte {
 
 func (k *kvSM) StateDigest() crypto.Digest { return crypto.Hash(k.Snapshot()) }
 
+func (k *kvSM) Freeze() Frozen { return FrozenBytes(k.Snapshot()) }
+
 func (k *kvSM) Snapshot() []byte {
 	keys := make([]string, 0, len(k.data))
 	for key := range k.data {

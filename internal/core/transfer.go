@@ -82,15 +82,17 @@ func (r *Replica) fetchBatch(seq int64) {
 }
 
 // chunked returns (building and caching on first use) the fragmentation of
-// the snapshot retained at checkpoint seq.
+// the checkpoint retained at seq, serialising it if no peer or rollback
+// has needed it yet.
 func (r *Replica) chunked(seq int64) *chunkedSnapshot {
 	if cs := r.stChunks[seq]; cs != nil {
 		return cs
 	}
-	snap, ok := r.snapshots[seq]
+	ck, ok := r.snapshots[seq]
 	if !ok {
 		return nil
 	}
+	snap := ck.encoded()
 	cs := &chunkedSnapshot{seq: seq}
 	for off := 0; off < len(snap) || off == 0; off += fragmentSize {
 		end := off + fragmentSize
@@ -236,7 +238,7 @@ func (r *Replica) onFragment(frag *message.Fragment) {
 	r.lastCommittedExec = seq
 	r.recordCheckpoint(seq, int32(r.cfg.Self), st.expect)
 	if r.cfg.CheckpointSnapshots {
-		r.snapshots[seq] = snap
+		r.snapshots[seq] = &frozenCheckpoint{bytes: snap}
 	}
 	r.makeStable(seq, st.expect)
 	// Drop buffered requests the restored state has already answered;

@@ -744,14 +744,14 @@ func (r *Replica) copyBatch(s, os *slot) {
 // checkpoint snapshots; without them the replica falls back to a state
 // transfer.
 func (r *Replica) rollbackTentative() {
-	snap, ok := r.snapshots[r.lastStable]
+	ck, ok := r.snapshots[r.lastStable]
 	if !ok {
 		// No local rollback possible: refetch committed state from peers.
 		r.lastExec = r.lastCommittedExec
 		r.beginStateTransfer(r.lastStable + r.cfg.CheckpointInterval)
 		return
 	}
-	if err := r.restoreSnapshot(snap); err != nil {
+	if err := r.restoreSnapshot(ck.encoded()); err != nil {
 		// The snapshot is ours; failure here is a programming error, but
 		// degrade to state transfer rather than crashing the group.
 		r.beginStateTransfer(r.lastStable + r.cfg.CheckpointInterval)

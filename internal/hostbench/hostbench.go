@@ -47,6 +47,7 @@ var Benchmarks = []Bench{
 	{"HistogramObserve", BenchHistogramObserve},
 	{"PhaseTrackerObserve", BenchPhaseTrackerObserve},
 	{"PrometheusRender", BenchPrometheusRender},
+	{"CheckpointKV", BenchCheckpointKV},
 	{"EndToEndFigure4Point", BenchEndToEndFigure4Point},
 }
 

@@ -17,6 +17,7 @@ package kvservice
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
 
@@ -67,10 +68,27 @@ func IsReadOnly(op []byte) bool {
 	return len(op) > 0 && (op[0] == opGet || op[0] == opKeys)
 }
 
+// partitions is the number of copy-on-write partitions the store is split
+// into by key hash (about 16 keys each at 4096 keys). Freeze shares every
+// partition with the frozen view; the first later write to a partition
+// copies only that partition.
+const partitions = 256
+
+// partitionOf maps a key to its partition (32-bit FNV-1a).
+func partitionOf(key string) int {
+	h := uint32(2166136261)
+	for i := 0; i < len(key); i++ {
+		h ^= uint32(key[i])
+		h *= 16777619
+	}
+	return int(h % partitions)
+}
+
 // Service is the state machine. It maintains its digest incrementally
 // (one hash fold per mutation), so checkpoints stay cheap at any size.
 type Service struct {
-	data   map[string]string
+	parts  [partitions]map[string]string
+	shared [partitions]bool // parts[i] is also held by a frozen view
 	digest crypto.Digest
 }
 
@@ -78,11 +96,21 @@ var _ core.StateMachine = (*Service)(nil)
 
 // New returns an empty store.
 func New() *Service {
-	return &Service{data: make(map[string]string)}
+	s := &Service{}
+	for i := range s.parts {
+		s.parts[i] = make(map[string]string)
+	}
+	return s
 }
 
 // Len returns the number of keys (for tools and tests).
-func (s *Service) Len() int { return len(s.data) }
+func (s *Service) Len() int {
+	n := 0
+	for _, p := range s.parts {
+		n += len(p)
+	}
+	return n
+}
 
 // entryDigest is the store-digest contribution of one key/value pair.
 func entryDigest(key, value string) crypto.Digest {
@@ -95,6 +123,18 @@ func (s *Service) fold(d crypto.Digest) {
 	}
 }
 
+// writable returns key's partition, first copying it if a frozen view
+// shares it. Values are immutable strings, so the copy moves only map
+// entries.
+func (s *Service) writable(key string) map[string]string {
+	i := partitionOf(key)
+	if s.shared[i] {
+		s.parts[i] = maps.Clone(s.parts[i])
+		s.shared[i] = false
+	}
+	return s.parts[i]
+}
+
 // Execute implements core.StateMachine.
 func (s *Service) Execute(client int32, op []byte, readOnly bool) []byte {
 	d := message.NewDecoder(op)
@@ -104,10 +144,11 @@ func (s *Service) Execute(client int32, op []byte, readOnly bool) []byte {
 		if d.Finish() != nil || readOnly {
 			return []byte("ERR")
 		}
-		if old, ok := s.data[key]; ok {
+		p := s.writable(key)
+		if old, ok := p[key]; ok {
 			s.fold(entryDigest(key, old))
 		}
-		s.data[key] = value
+		p[key] = value
 		s.fold(entryDigest(key, value))
 		return []byte("OK")
 	case opGet:
@@ -115,27 +156,22 @@ func (s *Service) Execute(client int32, op []byte, readOnly bool) []byte {
 		if d.Finish() != nil {
 			return []byte("ERR")
 		}
-		return []byte(s.data[key])
+		return []byte(s.parts[partitionOf(key)][key])
 	case opDel:
 		key := string(d.Blob())
 		if d.Finish() != nil || readOnly {
 			return []byte("ERR")
 		}
-		if old, ok := s.data[key]; ok {
+		if old, ok := s.parts[partitionOf(key)][key]; ok {
 			s.fold(entryDigest(key, old))
-			delete(s.data, key)
+			delete(s.writable(key), key)
 		}
 		return []byte("OK")
 	case opKeys:
 		if d.Finish() != nil {
 			return []byte("ERR")
 		}
-		keys := make([]string, 0, len(s.data))
-		for k := range s.data {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		return []byte(strings.Join(keys, "\n"))
+		return []byte(strings.Join((*frozenView)(&s.parts).sortedKeys(), "\n"))
 	default:
 		return []byte("ERR")
 	}
@@ -145,48 +181,81 @@ func (s *Service) Execute(client int32, op []byte, readOnly bool) []byte {
 // mutation).
 func (s *Service) StateDigest() crypto.Digest { return s.digest }
 
-// Snapshot implements core.StateMachine.
-func (s *Service) Snapshot() []byte {
-	keys := make([]string, 0, len(s.data))
-	total := 0
-	for k, v := range s.data {
-		keys = append(keys, k)
-		total += len(k) + len(v) + 16
+// Freeze implements core.StateMachine: the view shares every partition
+// with the store, which copies a partition before its next write.
+func (s *Service) Freeze() core.Frozen {
+	for i := range s.shared {
+		s.shared[i] = true
+	}
+	v := frozenView(s.parts)
+	return &v
+}
+
+// Snapshot implements core.StateMachine: the live partitions serialised
+// as a view, which needs no sharing because it does not outlive the call.
+func (s *Service) Snapshot() []byte { return (*frozenView)(&s.parts).Snapshot() }
+
+// frozenView is the store's partitions as of a Freeze.
+type frozenView [partitions]map[string]string
+
+func (v *frozenView) sortedKeys() []string {
+	n := 0
+	for _, p := range v {
+		n += len(p)
+	}
+	keys := make([]string, 0, n)
+	for _, p := range v {
+		for k := range p {
+			keys = append(keys, k)
+		}
 	}
 	sort.Strings(keys)
+	return keys
+}
+
+// Snapshot implements core.Frozen: a count, then each key and its value
+// in strictly increasing key order (the order Restore requires).
+func (v *frozenView) Snapshot() []byte {
+	keys := v.sortedKeys()
+	total := 0
+	for _, k := range keys {
+		total += len(k) + len(v[partitionOf(k)][k]) + 16
+	}
 	e := message.NewEncoder(16 + total)
 	e.Count(len(keys))
 	for _, k := range keys {
 		e.Blob([]byte(k))
-		e.Blob([]byte(s.data[k]))
+		e.Blob([]byte(v[partitionOf(k)][k]))
 	}
 	return e.Bytes()
 }
 
-// Restore implements core.StateMachine.
+// Restore implements core.StateMachine. Keys must be strictly increasing:
+// a repeated entry would cancel out of the XOR-folded digest, letting a
+// forged snapshot restore a value the attested digest does not cover.
 func (s *Service) Restore(snap []byte) error {
 	d := message.NewDecoder(snap)
 	n := d.Count()
 	if d.Err() != nil {
 		return fmt.Errorf("kvservice: corrupt snapshot: %w", d.Err())
 	}
-	data := make(map[string]string, n)
-	var digest crypto.Digest
+	fresh := New()
+	prev := ""
 	for i := 0; i < n; i++ {
 		k, v := string(d.Blob()), string(d.Blob())
 		if d.Err() != nil {
 			return fmt.Errorf("kvservice: corrupt snapshot entry: %w", d.Err())
 		}
-		data[k] = v
-		ed := entryDigest(k, v)
-		for b := range digest {
-			digest[b] ^= ed[b]
+		if i > 0 && k <= prev {
+			return fmt.Errorf("kvservice: corrupt snapshot: key %q out of order", k)
 		}
+		prev = k
+		fresh.parts[partitionOf(k)][k] = v
+		fresh.fold(entryDigest(k, v))
 	}
 	if err := d.Finish(); err != nil {
 		return fmt.Errorf("kvservice: corrupt snapshot: %w", err)
 	}
-	s.data = data
-	s.digest = digest
+	*s = *fresh
 	return nil
 }

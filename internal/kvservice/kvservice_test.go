@@ -1,9 +1,14 @@
 package kvservice
 
 import (
+	"bytes"
+	"encoding/hex"
 	"fmt"
 	"math/rand"
 	"testing"
+
+	"bftfast/internal/core"
+	"bftfast/internal/message"
 )
 
 func TestBasicOperations(t *testing.T) {
@@ -119,5 +124,108 @@ func TestRestoreRejectsCorruption(t *testing.T) {
 	}
 	if err := New().Restore(append(snap, 7)); err == nil {
 		t.Fatal("trailing garbage accepted")
+	}
+}
+
+// TestRestoreRejectsForgedDuplicates pins the forged-snapshot case: the
+// entries (k,v1),(k,v2),(k,v2) XOR-fold to the digest of a store holding
+// k=v1, yet restoring them in order would leave k=v2. Restore must refuse
+// any snapshot whose keys are not strictly increasing.
+func TestRestoreRejectsForgedDuplicates(t *testing.T) {
+	honest := New()
+	honest.Execute(1, SetOp("k", "v1"), false)
+
+	e := message.NewEncoder(64)
+	e.Count(3)
+	for _, v := range []string{"v1", "v2", "v2"} {
+		e.Blob([]byte("k"))
+		e.Blob([]byte(v))
+	}
+	forged := New()
+	if err := forged.Restore(e.Bytes()); err == nil {
+		t.Fatalf("forged snapshot accepted: k=%q under the digest of k=v1 (digests equal: %v)",
+			forged.Execute(1, GetOp("k"), true), forged.StateDigest() == honest.StateDigest())
+	}
+
+	e = message.NewEncoder(64)
+	e.Count(2)
+	for _, k := range []string{"b", "a"} {
+		e.Blob([]byte(k))
+		e.Blob([]byte("x"))
+	}
+	if err := New().Restore(e.Bytes()); err == nil {
+		t.Fatal("snapshot with keys out of order accepted")
+	}
+}
+
+// TestSnapshotEncodingUnchanged pins the snapshot byte format (a count,
+// then length-prefixed keys and values in sorted key order) to the bytes
+// the unpartitioned store produced, so existing snapshots still restore.
+func TestSnapshotEncodingUnchanged(t *testing.T) {
+	s := New()
+	s.Execute(1, SetOp("b", "22"), false)
+	s.Execute(1, SetOp("a", "1"), false)
+	s.Execute(1, SetOp("zz", ""), false)
+	s.Execute(1, SetOp("c", "x"), false)
+	s.Execute(1, DelOp("c"), false)
+	const want = "03000000010000006101000000310100000062020000003232020000007a7a00000000"
+	if got := hex.EncodeToString(s.Snapshot()); got != want {
+		t.Fatalf("snapshot = %s, want %s", got, want)
+	}
+	if got := hex.EncodeToString(s.Freeze().Snapshot()); got != want {
+		t.Fatalf("frozen snapshot = %s, want %s", got, want)
+	}
+	const wantDigest = "6d60570f9fc5676bbceaf212b0c9edf4"
+	if d := s.StateDigest(); hex.EncodeToString(d[:]) != wantDigest {
+		t.Fatalf("digest = %x, want %s", d, wantDigest)
+	}
+}
+
+// TestFrozenViewIgnoresLaterChanges checks the copy-on-write contract:
+// after Freeze, writes, deletes and a Restore on the store leave every
+// earlier view's Snapshot unchanged.
+func TestFrozenViewIgnoresLaterChanges(t *testing.T) {
+	rng := rand.New(rand.NewSource(3)) //nolint:gosec
+	s := New()
+	for i := 0; i < 2000; i++ {
+		s.Execute(1, SetOp(fmt.Sprintf("k%d", i), fmt.Sprintf("v%d", i)), false)
+	}
+	other := New()
+	other.Execute(1, SetOp("only", "this"), false)
+
+	type frozen struct {
+		view core.Frozen
+		want []byte
+	}
+	var views []frozen
+	for round := 0; round < 4; round++ {
+		views = append(views, frozen{view: s.Freeze(), want: s.Snapshot()})
+		for i := 0; i < 300; i++ {
+			k := fmt.Sprintf("k%d", rng.Intn(2500))
+			if rng.Intn(3) == 0 {
+				s.Execute(1, DelOp(k), false)
+			} else {
+				s.Execute(1, SetOp(k, fmt.Sprintf("r%d.%d", round, i)), false)
+			}
+		}
+		if round == 2 {
+			if err := s.Restore(other.Snapshot()); err != nil {
+				t.Fatal(err)
+			}
+			s.Execute(1, SetOp("after", "restore"), false)
+		}
+		for j, v := range views {
+			if !bytes.Equal(v.view.Snapshot(), v.want) {
+				t.Fatalf("round %d: view %d changed after later writes", round, j)
+			}
+		}
+	}
+	// The live store is unaffected by the views it shares partitions with.
+	fresh := New()
+	if err := fresh.Restore(s.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	if fresh.StateDigest() != s.StateDigest() || fresh.Len() != s.Len() {
+		t.Fatal("live store diverged from its own snapshot")
 	}
 }

@@ -45,6 +45,9 @@ func (Service) Execute(client int32, op []byte, readOnly bool) []byte {
 // StateDigest implements core.StateMachine; the service has no state.
 func (Service) StateDigest() crypto.Digest { return crypto.Digest{} }
 
+// Freeze implements core.StateMachine.
+func (Service) Freeze() core.Frozen { return core.FrozenBytes(nil) }
+
 // Snapshot implements core.StateMachine.
 func (Service) Snapshot() []byte { return nil }
 
