@@ -284,13 +284,21 @@ func TestClientTelemetry(t *testing.T) {
 	if err != nil {
 		t.Fatalf("parsing scrape: %v", err)
 	}
+	seen := map[string]bool{}
 	for _, s := range samples {
+		seen[s.Name] = true
 		if s.Name == "bft_client_completed" {
 			if s.Value < 3 || s.Label("role") != "client" || s.Label("node") != "100" {
 				t.Errorf("bad client sample %+v", s)
 			}
-			return
+		}
+		if s.Name == "bft_client_replier_skips" && s.Value != 0 {
+			t.Errorf("replier skips in a fault-free run: %+v", s)
 		}
 	}
-	t.Fatalf("bft_client_completed missing:\n%s", body)
+	for _, name := range []string{"bft_client_completed", "bft_client_replier_skips"} {
+		if !seen[name] {
+			t.Fatalf("%s missing:\n%s", name, body)
+		}
+	}
 }

@@ -27,6 +27,10 @@
 //   - DelayReorder: holds messages back for bounded pseudo-random delays,
 //     releasing them out of order and occasionally duplicated — the
 //     asynchronous-network adversary.
+//   - WithholdResult: every full reply the replica sends goes out as a
+//     digest-only reply, correctly authenticated. When the client names it
+//     the designated replier, the result certificate forms without a body;
+//     the client must retransmit, then stop naming it.
 //
 // The adversary signs its forgeries with the replica's own key table but
 // meters none of the cryptography: a real attacker's cycles are free to
@@ -53,6 +57,7 @@ const (
 	SpamViewChange
 	CorruptTransfer
 	DelayReorder
+	WithholdResult
 )
 
 var behaviorNames = map[Behavior]string{
@@ -62,6 +67,7 @@ var behaviorNames = map[Behavior]string{
 	SpamViewChange:    "vc-spam",
 	CorruptTransfer:   "corrupt-transfer",
 	DelayReorder:      "delay-reorder",
+	WithholdResult:    "withhold-result",
 }
 
 // String returns the behavior's stable name (used in campaign tables).
@@ -75,6 +81,7 @@ func (b Behavior) String() string {
 // Behaviors lists every real behavior, in campaign order.
 var Behaviors = []Behavior{
 	EquivocatePrimary, FloodGarbage, SpamViewChange, CorruptTransfer, DelayReorder,
+	WithholdResult,
 }
 
 // Config parameterizes one faulty replica. The zero value of every knob

@@ -42,13 +42,17 @@ import (
 // time goes. EquivocatePrimary costs one view change to depose the primary;
 // request salvage across the view change (core.salvageRequests) then
 // restores full throughput, so its floor is bounded by the view-change
-// pause, not by client retransmission.
+// pause, not by client retransmission. WithholdResult costs each client
+// one retransmission timeout, after which the client stops naming the
+// withholding replica as its replier (0.88 measured; a client that kept
+// naming it would retransmit on every fourth operation, about 0.02).
 var minFactor = map[adversary.Behavior]float64{
 	adversary.EquivocatePrimary: 0.50,
 	adversary.FloodGarbage:      0.30,
 	adversary.SpamViewChange:    0.30,
 	adversary.CorruptTransfer:   0.40,
 	adversary.DelayReorder:      0.20,
+	adversary.WithholdResult:    0.60,
 }
 
 // Params configures one campaign.
@@ -172,6 +176,13 @@ func livenessParams(p Params) bench.MicroParams {
 	mp.ViewChangeTimeout = time.Duration(float64(400*time.Millisecond) * p.Scale)
 	if mp.ViewChangeTimeout < 50*time.Millisecond {
 		mp.ViewChangeTimeout = 50 * time.Millisecond
+	}
+	// The client retransmission floor (the harness's 800ms at scale 1)
+	// scales the same way: a withheld result costs each client one
+	// retransmission timeout, which must fit inside shortened runs too.
+	mp.RetransmitFloor = time.Duration(float64(800*time.Millisecond) * p.Scale)
+	if mp.RetransmitFloor < 50*time.Millisecond {
+		mp.RetransmitFloor = 50 * time.Millisecond
 	}
 	mp.Trace = true
 	return mp

@@ -32,6 +32,7 @@ type Stats struct {
 	FragmentsCorrupted int64 // state-transfer chunks served bit-flipped
 	Delayed            int64 // messages held back
 	Duplicated         int64 // messages delivered twice
+	ResultsWithheld    int64 // full replies sent as digest-only replies
 }
 
 // heldMsg is one delayed outgoing transmission.
@@ -157,6 +158,12 @@ func (a *Node) out(dsts []int, data []byte, multicast bool) {
 	case DelayReorder:
 		a.delay(dsts, data)
 		return
+	case WithholdResult:
+		if len(data) > 0 && message.Type(data[0]) == message.TypeReply {
+			if digestOnly := a.withholdResult(data); digestOnly != nil {
+				data = digestOnly
+			}
+		}
 	}
 	a.env.Multicast(dsts, data)
 }
@@ -277,6 +284,33 @@ func (a *Node) corruptFragment(data []byte) []byte {
 	frag.Data[a.rng.Intn(len(frag.Data))] ^= 1 << uint(a.rng.Intn(8))
 	a.stats.FragmentsCorrupted++
 	return message.MarshalWith(&a.enc, frag)
+}
+
+// withholdResult re-encodes a full reply as a digest-only reply under a
+// fresh MAC from the replica's own key. The digest stays honest, so the
+// reply still counts toward the client's certificate; only the body the
+// client needs to finish is missing. Returns nil for replies that are
+// already digest-only or do not decode.
+func (a *Node) withholdResult(data []byte) []byte {
+	m, err := message.Unmarshal(data)
+	if err != nil {
+		return nil
+	}
+	rep, ok := m.(*message.Reply)
+	if !ok || !rep.Full {
+		return nil
+	}
+	rep.Full = false
+	rep.Result = nil
+	e := a.enc.Get()
+	mac, ok := a.suite.MAC(int(rep.Client), rep.AuthContentInto(e))
+	a.enc.Put(e)
+	if !ok {
+		return nil
+	}
+	rep.MAC = mac
+	a.stats.ResultsWithheld++
+	return message.MarshalWith(&a.enc, rep)
 }
 
 // delay holds roughly half of outbound traffic back for a bounded

@@ -46,15 +46,17 @@ type ClientConfig struct {
 
 // ClientStats exposes client-side protocol counters.
 type ClientStats struct {
-	Completed   int64
-	Retransmits int64
-	Rejected    int64 // replies that failed authentication or matching
+	Completed    int64
+	Retransmits  int64
+	Rejected     int64 // replies that failed authentication or matching
+	ReplierSkips int64 // ops whose replier rotation skipped a suspected replica
 }
 
 // replyVote is one replica's (latest) opinion about the pending request.
 type replyVote struct {
 	resultD   crypto.Digest
 	tentative bool
+	full      bool // the replica delivered a body matching resultD
 	view      int64
 }
 
@@ -71,6 +73,10 @@ type pendingOp struct {
 	retries   int
 	sentAt    time.Duration
 	done      func(result []byte)
+
+	// bodyMissing records that a reply certificate formed while the
+	// designated replier's full result had not arrived.
+	bodyMissing bool
 }
 
 // Client is the BFT client engine: it authenticates requests to the
@@ -101,6 +107,12 @@ type Client struct {
 	// timeout makes every client duplicate every request, which sustains
 	// the overload — congestion collapse.
 	srtt time.Duration
+
+	// suspect marks replicas that left a certified result without its
+	// full body until the retransmission timer fired; begin skips them
+	// when designating the replier. suspects counts the marks.
+	suspect  []bool
+	suspects int
 
 	// Hot-path scratch state (the engine is single-threaded): a reusable
 	// encoder list, the cached all-replicas destination slice, a reusable
@@ -161,6 +173,7 @@ func NewClient(cfg ClientConfig, keys *crypto.KeyTable, meter crypto.Meter) (*Cl
 		ts:          cfg.TimestampBase,
 		jitterState: uint64(cfg.Self)*0x9e3779b97f4a7c15 + 1,
 		all:         all,
+		suspect:     make([]bool, cfg.N),
 		rec:         cfg.Trace,
 	}, nil
 }
@@ -175,6 +188,7 @@ func (c *Client) RegisterMetrics(reg *obs.Registry, prefix string) {
 	reg.GaugeFunc(prefix+"completed", func() int64 { return c.stats.Completed })
 	reg.GaugeFunc(prefix+"retransmits", func() int64 { return c.stats.Retransmits })
 	reg.GaugeFunc(prefix+"rejected", func() int64 { return c.stats.Rejected })
+	reg.GaugeFunc(prefix+"replier_skips", func() int64 { return c.stats.ReplierSkips })
 }
 
 // Init implements proc.Handler.
@@ -209,14 +223,31 @@ func (c *Client) begin(p *pendingOp) {
 	p.sentAt = c.env.Now()
 	p.replier = message.AllReplicas
 	if c.cfg.Opts.DigestReplies {
-		// Rotate the designated full-replier for load balancing.
-		p.replier = int32(c.ts % int64(c.cfg.N))
+		p.replier = c.designateReplier()
 	}
 	// Traced before the MAC/marshal work so the span's request phase
 	// includes the client-side send cost (Env.Now advances with charges).
 	c.trace(obs.EvClientSend, p.timestamp)
 	c.transmit(p, false)
 	c.env.SetTimer(timerClientRetransmit, p.timeout+c.jitter(p.timeout))
+}
+
+// designateReplier rotates the full-result replier with the timestamp for
+// load balancing, moving past suspected replicas; with every replica
+// suspected it keeps the plain rotation.
+func (c *Client) designateReplier() int32 {
+	n := int64(c.cfg.N)
+	first := c.ts % n
+	for i := int64(0); i < n; i++ {
+		r := (first + i) % n
+		if !c.suspect[r] {
+			if i > 0 {
+				c.stats.ReplierSkips++
+			}
+			return int32(r)
+		}
+	}
+	return int32(first)
 }
 
 // transmit sends (or resends) the pending request. Retransmissions demand
@@ -307,10 +338,14 @@ func (c *Client) onReply(rep *message.Reply) {
 		p.fullBody[rep.ResultD] = rep.Result
 	}
 	prev, seen := p.votes[rep.Replica]
-	if seen && prev.resultD == rep.ResultD && !prev.tentative {
+	same := seen && prev.resultD == rep.ResultD
+	// A body from a replica whose digest already counted is still news:
+	// after a retransmission it may be the one the certificate waits for.
+	if same && !prev.tentative && (prev.full || !rep.Full) {
 		return // nothing new
 	}
-	p.votes[rep.Replica] = replyVote{resultD: rep.ResultD, tentative: rep.Tentative, view: rep.View}
+	p.votes[rep.Replica] = replyVote{resultD: rep.ResultD, tentative: rep.Tentative,
+		full: rep.Full || (same && prev.full), view: rep.View}
 	c.checkCertificate(p)
 }
 
@@ -347,9 +382,20 @@ func (c *Client) checkCertificate(p *pendingOp) {
 		}
 		body, have := p.fullBody[d]
 		if !have {
-			continue // certificate ready but full result still in flight
+			p.bodyMissing = true // certificate ready but full result still in flight
+			continue
 		}
 		c.env.CancelTimer(timerClientRetransmit)
+		if c.suspects > 0 {
+			// A suspect that delivered the certified body is cleared; a
+			// self-consistent body for any other digest does not count.
+			for id, v := range p.votes {
+				if v.full && v.resultD == d && c.suspect[id] {
+					c.suspect[id] = false
+					c.suspects--
+				}
+			}
+		}
 		if t.maxView > c.view {
 			c.view = t.maxView
 		}
@@ -391,6 +437,12 @@ func (c *Client) OnTimer(key int) {
 	p := c.cur
 	c.stats.Retransmits++
 	p.retries++
+	if p.bodyMissing && p.replier != message.AllReplicas && !c.suspect[p.replier] {
+		// The other replicas answered; only the designated replier's full
+		// result is missing. Name another replica until it delivers one.
+		c.suspect[p.replier] = true
+		c.suspects++
+	}
 	if p.readOnly && !p.asRW && c.cfg.Opts.ReadOnly {
 		// Fall back to the ordered path with a fresh timestamp.
 		p.asRW = true
@@ -398,6 +450,7 @@ func (c *Client) OnTimer(key int) {
 		p.timestamp = c.ts
 		p.votes = make(map[int32]replyVote)
 		p.fullBody = make(map[crypto.Digest][]byte)
+		p.bodyMissing = false
 	}
 	c.transmit(p, true)
 	c.trace(obs.EvClientResend, p.timestamp)
