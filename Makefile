@@ -71,7 +71,7 @@ fuzz-smoke:
 		$(GO) test -run '^$$' -fuzz "^$$f$$" -fuzztime $(FUZZTIME) ./internal/message; \
 	done
 
-# End-to-end smoke of the host telemetry plane (DESIGN.md §11): boots a
+# End-to-end smoke of the host telemetry plane (DESIGN.md §10): boots a
 # real 4-replica UDP group with -telemetry and -flight, drives operations
 # through bft-kv, asserts on the /metrics scrape (series count, committed
 # ops, zero drops), renders a bft-top frame, dumps the flight ring via

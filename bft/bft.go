@@ -45,7 +45,6 @@ import (
 	"bftfast/internal/obs/telemetry"
 	"bftfast/internal/proc"
 	"bftfast/internal/transport"
-	"bftfast/internal/verifypool"
 )
 
 // Re-exported configuration and engine types. The aliases give downstream
@@ -177,39 +176,6 @@ func StartReplica(cfg Config, sm StateMachine, keys *Keyring, net Network) (*Rep
 		return nil, err
 	}
 	node, err := transport.Start(cfg.Self, engine, net)
-	if err != nil {
-		return nil, err
-	}
-	r := &Replica{engine: engine, node: node, net: net, cfg: cfg, flight: cfg.Trace}
-	r.initRegistry(reg)
-	return r, nil
-}
-
-// StartReplicaPipelined is StartReplica with the multicore host pipeline:
-// inbound MAC verification and decoding run on a worker pool ahead of the
-// engine (internal/verifypool), and reply digests are batched through one
-// hasher pass per executed batch. The engine itself stays single-threaded
-// — workers only pre-verify; one consumer hands results over in arrival
-// order. workers <= 0 means one worker per core (GOMAXPROCS); workers == 1
-// degenerates to serial verification off the engine thread.
-//
-// Results are identical to StartReplica; only per-host throughput changes.
-// On UDP networks the pipeline also reads zero-copy from a shared buffer
-// free-list.
-func StartReplicaPipelined(cfg Config, sm StateMachine, keys *Keyring, net Network, workers int) (*Replica, error) {
-	cfg.BatchReplyDigests = true
-	reg := obs.NewRegistry()
-	if cfg.Phases == nil {
-		cfg.Phases = obs.NewPhaseTracker(reg, "phase.")
-	}
-	engine, err := core.NewReplica(cfg, sm, keys, nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	node, err := transport.StartPipelined(cfg.Self, engine, net, verifypool.Config{
-		Workers: workers,
-		Keys:    keys,
-	})
 	if err != nil {
 		return nil, err
 	}

@@ -49,9 +49,8 @@ func (c *counterSM) Restore(snap []byte) error {
 	return err
 }
 
-func startCluster(t *testing.T, n int, clientIDs []int) (*bft.Client, []*bft.Replica, func()) {
+func startCluster(t *testing.T, net bft.Network, n int, clientIDs []int) (*bft.Client, []*bft.Replica, func()) {
 	t.Helper()
-	net := bft.NewChannelNetwork()
 	ids := make([]int, 0, n+len(clientIDs))
 	for i := 0; i < n; i++ {
 		ids = append(ids, i)
@@ -83,7 +82,7 @@ func startCluster(t *testing.T, n int, clientIDs []int) (*bft.Client, []*bft.Rep
 }
 
 func TestPublicAPIRoundTrip(t *testing.T) {
-	client, _, cleanup := startCluster(t, 4, []int{100})
+	client, _, cleanup := startCluster(t, bft.NewChannelNetwork(), 4, []int{100})
 	defer cleanup()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -110,7 +109,7 @@ func TestPublicAPIRoundTrip(t *testing.T) {
 }
 
 func TestPublicAPIConcurrentInvokes(t *testing.T) {
-	client, replicas, cleanup := startCluster(t, 4, []int{100})
+	client, replicas, cleanup := startCluster(t, bft.NewChannelNetwork(), 4, []int{100})
 	defer cleanup()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
@@ -144,7 +143,7 @@ func TestPublicAPIConcurrentInvokes(t *testing.T) {
 }
 
 func TestPublicAPISurvivesPrimaryCrash(t *testing.T) {
-	client, replicas, cleanup := startCluster(t, 4, []int{100})
+	client, replicas, cleanup := startCluster(t, bft.NewChannelNetwork(), 4, []int{100})
 	defer cleanup()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
@@ -196,7 +195,7 @@ func TestPublicAPIValidation(t *testing.T) {
 }
 
 func TestPublicAPIScheduleRecovery(t *testing.T) {
-	client, replicas, cleanup := startCluster(t, 4, []int{100})
+	client, replicas, cleanup := startCluster(t, bft.NewChannelNetwork(), 4, []int{100})
 	defer cleanup()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
@@ -220,80 +219,10 @@ func TestPublicAPIScheduleRecovery(t *testing.T) {
 	}
 }
 
-// startPipelinedCluster is startCluster through StartReplicaPipelined: the
-// verification pool fronts every replica, with the given worker count.
-func startPipelinedCluster(t *testing.T, net bft.Network, n, workers int, clientID int) (*bft.Client, []*bft.Replica, func()) {
-	t.Helper()
-	ids := make([]int, 0, n+1)
-	for i := 0; i < n; i++ {
-		ids = append(ids, i)
-	}
-	ids = append(ids, clientID)
-	rings := bft.NewKeyrings(ids)
-	if err := bft.Provision(rand.New(rand.NewSource(1)), rings); err != nil { //nolint:gosec
-		t.Fatal(err)
-	}
-	var replicas []*bft.Replica
-	for i := 0; i < n; i++ {
-		r, err := bft.StartReplicaPipelined(bft.DefaultConfig(n, i), &counterSM{}, rings[i], net, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		replicas = append(replicas, r)
-	}
-	client, err := bft.StartClient(bft.NewClientConfig(n, clientID), rings[n], net)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cleanup := func() {
-		client.Close()
-		for _, r := range replicas {
-			r.Close()
-		}
-	}
-	return client, replicas, cleanup
-}
-
-// TestPublicAPIPipelinedRoundTrip runs the counter service behind the
-// multicore verification pipeline in both regimes — the workers=1 bypass
-// and a real worker fan-out — and expects results identical to the plain
-// path: same counter values, no view change, no dropped messages beyond
-// what a healthy run produces.
-func TestPublicAPIPipelinedRoundTrip(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			client, replicas, cleanup := startPipelinedCluster(t, bft.NewChannelNetwork(), 4, workers, 100)
-			defer cleanup()
-
-			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-			defer cancel()
-			for i := 1; i <= 5; i++ {
-				res, err := client.Invoke(ctx, []byte("inc"), false)
-				if err != nil {
-					t.Fatalf("invoke %d: %v", i, err)
-				}
-				if string(res) != fmt.Sprintf("%d", i) {
-					t.Fatalf("counter = %s after %d incs", res, i)
-				}
-			}
-			res, err := client.Invoke(ctx, []byte("get"), true)
-			if err != nil {
-				t.Fatalf("read-only invoke: %v", err)
-			}
-			if string(res) != "5" {
-				t.Fatalf("read-only get = %s, want 5", res)
-			}
-			if v := replicas[0].View(); v != 0 {
-				t.Fatalf("view = %d, want 0 (healthy run)", v)
-			}
-		})
-	}
-}
-
-// TestPublicAPIPipelinedOverUDP is the same service on real UDP sockets:
-// the replicas' readers feed the pool through the zero-copy owned-buffer
-// path, the client stays on the plain path.
-func TestPublicAPIPipelinedOverUDP(t *testing.T) {
+// TestPublicAPIOverUDP runs the counter service on real UDP sockets, the
+// transport a deployment uses: read-write and read-only operations agree,
+// and a healthy run stays in view 0.
+func TestPublicAPIOverUDP(t *testing.T) {
 	addrs := map[int]string{
 		0:   "127.0.0.1:48341",
 		1:   "127.0.0.1:48342",
@@ -306,7 +235,7 @@ func TestPublicAPIPipelinedOverUDP(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer net.Close()
-	client, _, cleanup := startPipelinedCluster(t, net, 4, 2, 100)
+	client, replicas, cleanup := startCluster(t, net, 4, []int{100})
 	defer cleanup()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -319,5 +248,15 @@ func TestPublicAPIPipelinedOverUDP(t *testing.T) {
 		if string(res) != fmt.Sprintf("%d", i) {
 			t.Fatalf("counter = %s after %d incs", res, i)
 		}
+	}
+	res, err := client.Invoke(ctx, []byte("get"), true)
+	if err != nil {
+		t.Fatalf("read-only invoke: %v", err)
+	}
+	if string(res) != "3" {
+		t.Fatalf("read-only get = %s, want 3", res)
+	}
+	if v := replicas[0].View(); v != 0 {
+		t.Fatalf("view = %d, want 0 (healthy run)", v)
 	}
 }

@@ -5,6 +5,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"bftfast/bft"
 )
 
 // TestStatsConcurrentWithTraffic hammers the wall-time stats accessors
@@ -15,7 +17,7 @@ import (
 // node's own event loop. Under -race (make test-race covers the whole
 // module) this test fails if anyone reintroduces a direct off-loop read.
 func TestStatsConcurrentWithTraffic(t *testing.T) {
-	client, replicas, cleanup := startCluster(t, 4, []int{100})
+	client, replicas, cleanup := startCluster(t, bft.NewChannelNetwork(), 4, []int{100})
 	defer cleanup()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)

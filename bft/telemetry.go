@@ -12,28 +12,17 @@ import (
 )
 
 // HostCounters reports the host-side (wall-clock) counters around a
-// replica's engine: event-loop drops, UDP receive losses, and the
-// verification pipeline's tallies. All fields are atomics underneath and
-// safe to read while the replica runs; zero values simply mean the
-// corresponding component is not in play (no UDP network, no pipeline).
+// replica's engine: event-loop drops and UDP receive losses. All fields are
+// atomics underneath and safe to read while the replica runs.
 type HostCounters struct {
-	// InboxDrops counts events discarded on a full event-loop inbox;
+	// InboxDrops counts datagrams discarded on a full event-loop inbox;
 	// InboxDepth is its current occupancy.
 	InboxDrops int64
 	InboxDepth int64
 
-	// UDPOversized and UDPBackpressure mirror
-	// transport.UDPNetwork.Oversized and Backpressure.
-	UDPOversized    int64
-	UDPBackpressure int64
-
-	// Pool* mirror the verification pipeline's counters (zero under
-	// StartReplica, which has no pipeline).
-	PoolVerified    int64
-	PoolPassthrough int64
-	PoolRejected    int64
-	PoolDropped     int64
-	PoolQueueDepth  int64
+	// UDPOversized mirrors transport.UDPNetwork.Oversized (zero when the
+	// network is not UDP).
+	UDPOversized int64
 }
 
 // HostStats returns the replica's host-side counters. Unlike Stats it
@@ -44,14 +33,6 @@ func (r *Replica) HostStats() HostCounters {
 	}
 	if u, ok := r.net.(*transport.UDPNetwork); ok {
 		hc.UDPOversized = u.Oversized()
-		hc.UDPBackpressure = u.Backpressure()
-	}
-	if p := r.node.Pool(); p != nil {
-		hc.PoolVerified = p.Verified()
-		hc.PoolPassthrough = p.Passthrough()
-		hc.PoolRejected = p.Rejected()
-		hc.PoolDropped = p.Dropped()
-		hc.PoolQueueDepth = p.QueueDepth()
 	}
 	return hc
 }
@@ -60,18 +41,15 @@ func (r *Replica) HostStats() HostCounters {
 // obs.Registry: engine counters and progress marks ("engine."), phase
 // histograms ("phase.", via the PhaseTracker installed in cfg), event-loop
 // health ("transport."), UDP receive losses ("udp.") when the network is
-// UDP, pipeline tallies ("verify.") when one exists, and process-level
-// gauges ("proc."). The registry and most gauges read engine fields, so
-// snapshots must run in the node's event context — MetricsSnapshot does.
+// UDP, and process-level gauges ("proc."). The registry and most gauges
+// read engine fields, so snapshots must run in the node's event context —
+// MetricsSnapshot does.
 func (r *Replica) initRegistry(reg *obs.Registry) {
 	r.reg = reg
 	r.engine.RegisterMetrics(reg, "engine.")
 	r.node.RegisterMetrics(reg, "transport.")
 	if u, ok := r.net.(*transport.UDPNetwork); ok {
 		u.RegisterMetrics(reg, "udp.")
-	}
-	if p := r.node.Pool(); p != nil {
-		p.RegisterMetrics(reg, "verify.")
 	}
 	reg.GaugeFunc("proc.goroutines", func() int64 { return int64(runtime.NumGoroutine()) })
 	reg.GaugeFunc("proc.uptime_seconds", func() int64 { return int64(r.node.Uptime().Seconds()) })

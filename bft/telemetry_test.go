@@ -34,7 +34,7 @@ func scrape(t *testing.T, addr, path string) (int, []byte) {
 // executes operations, and checks the scrape carries live engine, phase,
 // transport, and process series with the right labels.
 func TestReplicaTelemetry(t *testing.T) {
-	client, replicas, cleanup := startCluster(t, 4, []int{100})
+	client, replicas, cleanup := startCluster(t, bft.NewChannelNetwork(), 4, []int{100})
 	defer cleanup()
 
 	addr, err := replicas[0].ServeTelemetry("127.0.0.1:0")
@@ -262,7 +262,7 @@ func TestReplicaCloseOrdering(t *testing.T) {
 
 // TestClientTelemetry checks the client-side endpoint serves its counters.
 func TestClientTelemetry(t *testing.T) {
-	client, _, cleanup := startCluster(t, 4, []int{100})
+	client, _, cleanup := startCluster(t, bft.NewChannelNetwork(), 4, []int{100})
 	defer cleanup()
 
 	addr, err := client.ServeTelemetry("127.0.0.1:0")

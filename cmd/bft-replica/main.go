@@ -39,7 +39,6 @@ func main() {
 	telemetryAddr := flag.String("telemetry", "", "serve /metrics, /statusz and pprof on this host:port (empty: disabled)")
 	flightCap := flag.Int("flight", 0, "flight-recorder ring capacity in events (0: disabled)")
 	flightDump := flag.String("flight-dump", "", "BFTTRC01 dump path for the flight recorder (default <keys dir>/flight-<id>.bfttrc)")
-	verifyWorkers := flag.Int("verify-workers", 0, "MAC verification workers; 0: serial in the event loop, -1: one per core")
 	flag.Parse()
 
 	addrs, err := parsePeers(*peersFlag)
@@ -65,16 +64,7 @@ func main() {
 	if *flightCap > 0 {
 		cfg.Trace = bft.NewTraceRecorder(*id, *flightCap)
 	}
-	var replica *bft.Replica
-	if *verifyWorkers != 0 {
-		workers := *verifyWorkers
-		if workers < 0 {
-			workers = 0 // verifypool: one per core
-		}
-		replica, err = bft.StartReplicaPipelined(cfg, kvservice.New(), ring, network, workers)
-	} else {
-		replica, err = bft.StartReplica(cfg, kvservice.New(), ring, network)
-	}
+	replica, err := bft.StartReplica(cfg, kvservice.New(), ring, network)
 	if err != nil {
 		log.Fatalf("bft-replica: %v", err)
 	}

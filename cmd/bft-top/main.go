@@ -8,9 +8,8 @@
 // Columns: node id and role, current view, executed requests, throughput
 // (executed delta per second between polls), execute-phase latency P50 and
 // P99 (pre-prepare to execution, from the phase histograms), event-loop
-// inbox drops and depth, UDP oversized datagrams, and the verification
-// pipeline's queue depth. Unreachable endpoints render as DOWN and keep
-// their last-known identity.
+// inbox drops and depth, and UDP oversized datagrams. Unreachable
+// endpoints render as DOWN and keep their last-known identity.
 package main
 
 import (
@@ -38,7 +37,6 @@ type row struct {
 	drops    float64
 	depth    float64
 	oversize float64
-	queue    float64
 	down     bool
 }
 
@@ -119,8 +117,6 @@ func scrape(client *http.Client, endpoint string) row {
 			r.depth = s.Value
 		case "bft_udp_oversized":
 			r.oversize = s.Value
-		case "bft_verify_queue_depth":
-			r.queue = s.Value
 		}
 	}
 	return r
@@ -133,9 +129,9 @@ func render(w *os.File, rows []row, clear bool) {
 		fmt.Fprint(w, "\033[H\033[2J")
 	}
 	sort.Slice(rows, func(i, j int) bool { return rows[i].node < rows[j].node })
-	fmt.Fprintf(w, "%-6s %-8s %6s %10s %9s %10s %10s %7s %6s %6s %6s\n",
+	fmt.Fprintf(w, "%-6s %-8s %6s %10s %9s %10s %10s %7s %6s %6s\n",
 		"NODE", "ROLE", "VIEW", "EXECUTED", "OPS/S", "EXEC-P50", "EXEC-P99",
-		"DROPS", "DEPTH", "OVERSZ", "VQ")
+		"DROPS", "DEPTH", "OVERSZ")
 	var total row
 	live := 0
 	for _, r := range rows {
@@ -149,14 +145,13 @@ func render(w *os.File, rows []row, clear bool) {
 		total.drops += r.drops
 		total.depth += r.depth
 		total.oversize += r.oversize
-		total.queue += r.queue
-		fmt.Fprintf(w, "%-6s %-8s %6d %10.0f %9.1f %10s %10s %7.0f %6.0f %6.0f %6.0f\n",
+		fmt.Fprintf(w, "%-6s %-8s %6d %10.0f %9.1f %10s %10s %7.0f %6.0f %6.0f\n",
 			r.node, r.role, r.view, r.executed, r.rate,
-			fmtDur(r.p50), fmtDur(r.p99), r.drops, r.depth, r.oversize, r.queue)
+			fmtDur(r.p50), fmtDur(r.p99), r.drops, r.depth, r.oversize)
 	}
-	fmt.Fprintf(w, "%-6s %-8s %6s %10.0f %9.1f %10s %10s %7.0f %6.0f %6.0f %6.0f\n",
+	fmt.Fprintf(w, "%-6s %-8s %6s %10.0f %9.1f %10s %10s %7.0f %6.0f %6.0f\n",
 		"TOTAL", fmt.Sprintf("%d/%d up", live, len(rows)), "-", total.executed, total.rate,
-		"-", "-", total.drops, total.depth, total.oversize, total.queue)
+		"-", "-", total.drops, total.depth, total.oversize)
 }
 
 // fmtDur renders a phase latency compactly ("-" for no samples yet).

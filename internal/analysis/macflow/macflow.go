@@ -5,12 +5,7 @@
 // checks the code actually enforces that on every lexical path.
 //
 // Taint enters at proc.Handler Receive([]byte) methods of types in
-// engine packages (detcheck.EnginePackages), and — with every parameter
-// tainted, including the opaque envelope — at proc.VerifiedHandler
-// ReceiveVerified methods, so the verify-pipeline handoff is held to the
-// same standard: the engine must pass the stage's own check
-// (verifypool.Confirmed, summarized by the "verifies" fact) before
-// trusting pre-verified contents. It propagates through
+// engine packages (detcheck.EnginePackages). It propagates through
 // assignments, decoder results, pointer out-arguments of calls that see
 // tainted data (message.Unmarshal*Into decoding into engine-owned
 // scratch), and type-switch bindings, and it follows calls into
@@ -96,26 +91,12 @@ func run(pass *analysis.Pass) error {
 		seen:     map[workItem]bool{},
 		reported: map[token.Pos]bool{},
 	}
-	// Taint enters at Receive([]byte) handler methods, and at
-	// ReceiveVerified (the proc.VerifiedHandler pipeline handoff), where
-	// EVERY parameter is tainted: the stage's envelope arrives as an
-	// opaque `any` and its label is only as trustworthy as the recheck
-	// (verifypool.Confirmed, which carries the "verifies" fact) guarding
-	// it.
+	// Taint enters at Receive([]byte) handler methods.
 	for fn, decl := range lf.Decls {
-		if decl.Recv == nil {
+		if decl.Recv == nil || fn.Name() != "Receive" {
 			continue
 		}
-		var mask uint64
-		switch fn.Name() {
-		case "Receive":
-			mask = byteSliceParams(pass, decl)
-		case "ReceiveVerified":
-			mask = allParams(decl)
-		default:
-			continue
-		}
-		if mask != 0 {
+		if mask := byteSliceParams(pass, decl); mask != 0 {
 			w.queue = append(w.queue, workItem{fn: fn, mask: mask})
 		}
 	}
@@ -615,23 +596,6 @@ func isByteSlice(t types.Type) bool {
 	}
 	b, ok := s.Elem().Underlying().(*types.Basic)
 	return ok && b.Kind() == types.Byte
-}
-
-// allParams returns the mask tainting every declared parameter.
-func allParams(decl *ast.FuncDecl) uint64 {
-	var mask uint64
-	i := 0
-	for _, field := range decl.Type.Params.List {
-		n := len(field.Names)
-		if n == 0 {
-			n = 1
-		}
-		for j := 0; j < n; j++ {
-			mask |= 1 << uint(i)
-			i++
-		}
-	}
-	return mask
 }
 
 // paramNames returns the declared parameter names in order.

@@ -97,65 +97,14 @@ func (r *Replica) executeBatch(s *slot, tentative bool) {
 		r.phases.Executed(s.seq, r.env.Now())
 	}
 	r.stats.ExecutedBatches++
-	if r.cfg.BatchReplyDigests {
-		r.executeBatchedReplies(s, tentative)
-	} else {
-		for _, req := range s.requests {
-			if req == nil {
-				continue // null batch
-			}
-			rec := r.clientRec(req.Client)
-			if req.Timestamp <= rec.lastTimestamp {
-				// Already executed (a faulty primary may re-propose); answer
-				// from the stored reply if this is the same request.
-				if req.Timestamp == rec.lastTimestamp {
-					r.resendStoredReply(req, rec)
-				}
-				continue
-			}
-			result := r.sm.Execute(req.Client, req.Op, false)
-			r.stats.ExecutedRequests++
-			r.trace(obs.EvExecRequest, s.seq, int64(req.Client), req.Timestamp)
-			resultD := r.suite.Digest(result)
-			rec.lastTimestamp = req.Timestamp
-			rec.lastReply = &message.Reply{
-				View:      r.view,
-				Timestamp: req.Timestamp,
-				Client:    req.Client,
-				Replica:   int32(r.cfg.Self),
-				Tentative: tentative,
-				Full:      true,
-				Result:    result,
-				ResultD:   resultD,
-			}
-			rec.lastReplySeq = s.seq
-			r.sendReply(req, rec.lastReply)
-		}
-	}
-	// Executed requests leave the ordering pipeline.
-	for _, d := range s.reqDigests {
-		delete(r.reqBuffer, d)
-		delete(r.inFlight, d)
-		delete(r.missingBody, d)
-	}
-}
-
-// executeBatchedReplies is the BatchReplyDigests execution path: phase one
-// executes every fresh request in the batch, phase two digests all results
-// through the suite's single hasher pass, phase three builds and sends the
-// replies. Per-request outcomes are identical to the serial path — only
-// the interleaving of executions and reply sends differs (all executions
-// precede all sends).
-func (r *Replica) executeBatchedReplies(s *slot, tentative bool) {
-	r.execReqs = r.execReqs[:0]
-	r.execRecs = r.execRecs[:0]
-	r.execResults = r.execResults[:0]
 	for _, req := range s.requests {
 		if req == nil {
 			continue // null batch
 		}
 		rec := r.clientRec(req.Client)
 		if req.Timestamp <= rec.lastTimestamp {
+			// Already executed (a faulty primary may re-propose); answer
+			// from the stored reply if this is the same request.
 			if req.Timestamp == rec.lastTimestamp {
 				r.resendStoredReply(req, rec)
 			}
@@ -164,20 +113,8 @@ func (r *Replica) executeBatchedReplies(s *slot, tentative bool) {
 		result := r.sm.Execute(req.Client, req.Op, false)
 		r.stats.ExecutedRequests++
 		r.trace(obs.EvExecRequest, s.seq, int64(req.Client), req.Timestamp)
-		// lastTimestamp advances now so a duplicate later in the same
-		// batch is caught, exactly like the serial path.
+		resultD := r.suite.Digest(result)
 		rec.lastTimestamp = req.Timestamp
-		r.execReqs = append(r.execReqs, req)
-		r.execRecs = append(r.execRecs, rec)
-		r.execResults = append(r.execResults, result)
-	}
-	if cap(r.execDigests) < len(r.execResults) {
-		r.execDigests = make([]crypto.Digest, len(r.execResults))
-	}
-	r.execDigests = r.execDigests[:len(r.execResults)]
-	r.suite.DigestBatch(r.execDigests, r.execResults)
-	for i, req := range r.execReqs {
-		rec := r.execRecs[i]
 		rec.lastReply = &message.Reply{
 			View:      r.view,
 			Timestamp: req.Timestamp,
@@ -185,18 +122,17 @@ func (r *Replica) executeBatchedReplies(s *slot, tentative bool) {
 			Replica:   int32(r.cfg.Self),
 			Tentative: tentative,
 			Full:      true,
-			Result:    r.execResults[i],
-			ResultD:   r.execDigests[i],
+			Result:    result,
+			ResultD:   resultD,
 		}
 		rec.lastReplySeq = s.seq
 		r.sendReply(req, rec.lastReply)
 	}
-	// Drop the retained pointers so batch-local requests and results do
-	// not outlive their batch through the scratch slices.
-	for i := range r.execReqs {
-		r.execReqs[i] = nil
-		r.execRecs[i] = nil
-		r.execResults[i] = nil
+	// Executed requests leave the ordering pipeline.
+	for _, d := range s.reqDigests {
+		delete(r.reqBuffer, d)
+		delete(r.inFlight, d)
+		delete(r.missingBody, d)
 	}
 }
 

@@ -7,7 +7,7 @@ import (
 )
 
 // Parallel-leader ordering (multi-instance PBFT; see PROTOCOL.md
-// "Parallel-leader ordering" and DESIGN.md §10). The sequence space is
+// "Parallel-leader ordering" and DESIGN.md §9). The sequence space is
 // partitioned into g residue classes — instance i owns sequence numbers
 // i+1, i+1+g, i+1+2g, ... — and each instance runs the ordinary
 // three-phase ordering under its own leader. Requests are assigned to an

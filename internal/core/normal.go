@@ -25,9 +25,8 @@ func (r *Replica) onRequest(req *message.Request, raw []byte) {
 
 // admitRequest routes an authenticated client request: at-most-once
 // bookkeeping, the read-only fast path, request buffering, and primary
-// queueing / backup relay. Callers have already verified the request's
-// authenticator over digest d (the engine's onRequest, or the verify
-// pipeline's worker stage).
+// queueing / backup relay. onRequest has already verified the request's
+// authenticator over digest d.
 func (r *Replica) admitRequest(req *message.Request, raw []byte, d crypto.Digest) {
 	r.trace(obs.EvRequestIn, 0, int64(req.Client), req.Timestamp)
 	rec := r.clientRec(req.Client)

@@ -121,14 +121,6 @@ type Replica struct {
 	commitScratch message.Commit
 	authScratch   crypto.Authenticator
 
-	// Batched-reply scratch (BatchReplyDigests): per-batch parallel slices
-	// of executed requests, their client records, results, and digests,
-	// reused across batches.
-	execReqs    []*message.Request
-	execRecs    []*clientRecord
-	execResults [][]byte
-	execDigests []crypto.Digest
-
 	rec    *obs.Recorder     // nil disables tracing
 	phases *obs.PhaseTracker // nil disables live phase histograms
 	stats  Counters

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"sync/atomic"
 )
 
 // KeyTable holds the pairwise session keys known to one node.
@@ -19,7 +18,7 @@ import (
 //   - outbound keys: chosen by each peer; we use them when sending to them.
 //
 // KeyTable is safe for concurrent use; the engine itself is single-threaded
-// but transports may verify inbound traffic on other goroutines. MAC
+// but hosts may provision, export or import keys from other goroutines. MAC
 // computation serializes on the table lock: each (peer, direction) caches
 // one mutable HMAC state that Reset reuses, so a busy replica performs no
 // per-MAC allocation.
@@ -37,11 +36,6 @@ type KeyTable struct {
 	inState     map[int]*macState
 	outState    map[int]*macState
 	masterState map[int]*macState
-
-	// gen counts key mutations. VerifyViews cache per-sender HMAC states
-	// outside the table lock and use gen to notice rotation: a view whose
-	// generation lags discards its cache before verifying.
-	gen atomic.Uint64
 }
 
 // NewKeyTable returns an empty key table for node self.
@@ -129,7 +123,6 @@ func (t *KeyTable) RotateInbound(rng io.Reader, senders []int) (map[int]Key, err
 		t.in[s] = k
 		delete(t.inState, s)
 	}
-	t.gen.Add(1)
 	return fresh, nil
 }
 
@@ -146,7 +139,6 @@ func (t *KeyTable) SetOutbound(receiver int, k Key, epoch int64) bool {
 	t.epoch[receiver] = epoch
 	t.out[receiver] = k
 	delete(t.outState, receiver)
-	t.gen.Add(1)
 	return true
 }
 
@@ -182,7 +174,6 @@ func (t *KeyTable) Pair(peer int, inbound, outbound Key, epoch int64) {
 	if epoch > t.epoch[peer] {
 		t.epoch[peer] = epoch
 	}
-	t.gen.Add(1)
 }
 
 // SetMaster installs the long-term pairwise key shared with peer. Master
@@ -195,7 +186,6 @@ func (t *KeyTable) SetMaster(peer int, k Key) {
 	defer t.mu.Unlock()
 	t.master[peer] = k
 	delete(t.masterState, peer)
-	t.gen.Add(1)
 }
 
 // Master returns the long-term pairwise key shared with peer.
@@ -251,7 +241,6 @@ func ProvisionAll(rng io.Reader, tables []*KeyTable) error {
 			recv.mu.Lock()
 			recv.in[send.Self()] = k
 			delete(recv.inState, send.Self())
-			recv.gen.Add(1)
 			recv.mu.Unlock()
 			send.SetOutbound(recv.Self(), k, 1)
 

@@ -12,20 +12,6 @@ type Meter interface {
 	OnMAC(bytes int)
 }
 
-// VerifyMeter is an optional extension of Meter that distinguishes inbound
-// MAC verification from MAC computation. The simulator uses it to model a
-// verification stage that is offloaded to spare cores (the multicore host
-// pipeline): verification cost can then be scaled by the configured worker
-// count while computation stays on the engine's critical path. Meters that
-// do not implement it keep receiving OnMAC for verifications, so existing
-// accounting is unchanged.
-type VerifyMeter interface {
-	Meter
-	// OnMACVerify is called once per inbound MAC verification with the
-	// number of bytes authenticated.
-	OnMACVerify(bytes int)
-}
-
 // Suite bundles a node's key table with an optional work meter and provides
 // the metered operations the protocol engine uses. A nil *Suite is invalid;
 // a Suite with a nil meter performs no accounting.
@@ -73,24 +59,6 @@ func (s *Suite) meterMAC(count int, pieces [][]byte) {
 	}
 }
 
-// meterVerify accounts one inbound MAC verification. Meters implementing
-// VerifyMeter get the dedicated callback; plain meters get OnMAC with the
-// same byte count, preserving their exact historical charge sequence.
-func (s *Suite) meterVerify(pieces [][]byte) {
-	if s.meter == nil {
-		return
-	}
-	n := 0
-	for _, p := range pieces {
-		n += len(p)
-	}
-	if vm, ok := s.meter.(VerifyMeter); ok {
-		vm.OnMACVerify(n)
-		return
-	}
-	s.meter.OnMAC(n)
-}
-
 // Digest computes a metered digest over the concatenated pieces.
 func (s *Suite) Digest(pieces ...[]byte) Digest {
 	s.meterDigest(pieces)
@@ -113,7 +81,7 @@ func (s *Suite) AuthInto(dst Authenticator, n int, content ...[]byte) Authentica
 
 // VerifyAuth verifies this node's entry of an authenticator from sender.
 func (s *Suite) VerifyAuth(sender int, a Authenticator, content ...[]byte) bool {
-	s.meterVerify(content)
+	s.meterMAC(1, content)
 	return VerifyEntry(s.keys, sender, a, content...)
 }
 
@@ -127,7 +95,7 @@ func (s *Suite) MasterAuth(n int, content ...[]byte) Authenticator {
 // VerifyMasterAuth verifies this node's entry of a master-key
 // authenticator from sender.
 func (s *Suite) VerifyMasterAuth(sender int, a Authenticator, content ...[]byte) bool {
-	s.meterVerify(content)
+	s.meterMAC(1, content)
 	return VerifyMasterEntry(s.keys, sender, a, content...)
 }
 
@@ -139,21 +107,6 @@ func (s *Suite) MAC(receiver int, content ...[]byte) (MAC, bool) {
 
 // VerifyMAC verifies a metered point-to-point MAC from sender.
 func (s *Suite) VerifyMAC(sender int, tag MAC, content ...[]byte) bool {
-	s.meterVerify(content)
+	s.meterMAC(1, content)
 	return VerifySingle(s.keys, sender, tag, content...)
-}
-
-// DigestBatch fills out[i] with the digest of inputs[i] for every i,
-// reusing the suite's single hasher state across the whole batch. Metering
-// matches len(inputs) individual Digest calls exactly, so simulated costs
-// are unchanged; on real hosts the batch shares one digest-state setup and
-// one metering branch sequence instead of re-entering per reply.
-// len(out) must be at least len(inputs).
-func (s *Suite) DigestBatch(out []Digest, inputs [][]byte) {
-	for i, in := range inputs {
-		if s.meter != nil {
-			s.meter.OnDigest(len(in))
-		}
-		out[i] = s.hasher.Digest(in)
-	}
 }

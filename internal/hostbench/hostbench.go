@@ -39,9 +39,6 @@ var Benchmarks = []Bench{
 	{"CodecDecodeCommit", BenchCodecDecodeCommit},
 	{"AuthenticatorInto", BenchAuthenticatorInto},
 	{"AuthenticatorVerify", BenchAuthenticatorVerify},
-	{"VerifyPoolStageSerial", BenchVerifyPoolStageSerial},
-	{"VerifyPoolStage", BenchVerifyPoolStage},
-	{"UDPHostPipeline", BenchUDPHostPipeline},
 	{"SimKernelChurn", BenchSimKernelChurn},
 	{"TraceRecord", BenchTraceRecord},
 	{"HistogramObserve", BenchHistogramObserve},

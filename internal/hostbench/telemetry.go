@@ -45,9 +45,7 @@ func telemetryRegistry() *obs.Registry {
 		"engine.executed_requests", "engine.executed_batches", "engine.view",
 		"engine.last_executed", "engine.last_stable", "engine.view_changes",
 		"transport.inbox_drops", "transport.inbox_depth",
-		"udp.oversized", "udp.backpressure",
-		"verify.verified", "verify.passthrough", "verify.rejected",
-		"verify.dropped", "verify.queue_depth",
+		"udp.oversized",
 		"proc.goroutines", "proc.heap_bytes", "proc.uptime_seconds",
 	} {
 		reg.Gauge(name).Set(int64(len(name)))

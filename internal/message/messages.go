@@ -170,9 +170,6 @@ func (r *Request) ContentDigestWith(s *crypto.Suite, e *Encoder) crypto.Digest {
 // ContentInto encodes the request's identity content (the bytes the
 // digest and authenticator cover — Replier excluded, see the type comment)
 // into scratch encoder e (reset first) and returns the encoded bytes.
-// Callers that digest through something other than a Suite — the verify
-// pipeline hashes on worker goroutines via crypto.VerifyView — share this
-// encoding with the engine's own ContentDigestWith path.
 //
 //bftvet:allocfree
 func (r *Request) ContentInto(e *Encoder) []byte {

@@ -69,26 +69,3 @@ type Handler interface {
 	// OnTimer handles expiry of the timer armed under key.
 	OnTimer(key int)
 }
-
-// VerifiedHandler is a Handler that can additionally accept pre-verified
-// messages from a transport-side verification stage (the multicore host
-// pipeline, internal/verifypool). The environment still serializes every
-// call — pre-verification moves cryptographic work off the engine's
-// thread, not the engine's own execution.
-//
-// env carries the stage's envelope (a *verifypool.Envelope; typed as any
-// so engines without a pipeline need not import it). The contract: the
-// engine must confirm the envelope through the stage's own check
-// (verifypool.Confirmed) before trusting data, and must not retain the
-// envelope or its scratch views past the call. Environments that cannot
-// produce verified envelopes simply never call ReceiveVerified; Receive
-// remains the universal path.
-type VerifiedHandler interface {
-	Handler
-
-	// ReceiveVerified handles one incoming datagram whose MAC was already
-	// checked by the verification stage. data follows the Receive
-	// ownership contract for retainable message kinds (requests); for
-	// scratch-decoded kinds it is valid only during the call.
-	ReceiveVerified(data []byte, env any)
-}

@@ -410,12 +410,6 @@ func (n *node) OnDigest(bytes int) { n.Charge(n.sim.cm.digestCost(bytes)) }
 // OnMAC implements crypto.Meter: charge UMAC-era authentication cost.
 func (n *node) OnMAC(bytes int) { n.Charge(n.sim.cm.macCost(bytes)) }
 
-// OnMACVerify implements crypto.VerifyMeter: charge inbound verification
-// cost, which the cost model may discount when a verification pipeline is
-// configured (VerifyOffloadWorkers). With offload disabled this equals
-// OnMAC exactly, keeping headline figures bit-identical.
-func (n *node) OnMACVerify(bytes int) { n.Charge(n.sim.cm.verifyCost(bytes)) }
-
 // Send implements proc.Env.
 func (n *node) Send(dst int, data []byte) { n.transmit([]int{dst}, data) }
 

@@ -14,7 +14,6 @@ import (
 
 	"bftfast/internal/obs"
 	"bftfast/internal/proc"
-	"bftfast/internal/verifypool"
 )
 
 // ErrClosed is returned by operations on a closed node or network.
@@ -32,34 +31,18 @@ type Network interface {
 	Unregister(id int)
 }
 
-// OwnedRegistrar is implemented by networks whose readers can hand
-// ownership of free-listed buffers to the receiver instead of copying
-// every datagram (see UDPNetwork.RegisterOwned). StartPipelined uses it
-// when available.
-type OwnedRegistrar interface {
-	// RegisterOwned installs a zero-copy receive callback: the reader
-	// draws buffers from bufs and calls recv with each datagram's buffer
-	// and length. recv returning true takes ownership of the buffer
-	// (returning it to bufs later); on false the reader keeps and reuses
-	// it.
-	RegisterOwned(id int, bufs *verifypool.BufferPool, recv func(buf []byte, n int) bool) error
-}
-
 // event is one unit of work for a node loop.
 type event struct {
-	data     []byte               // non-nil: datagram
-	env      *verifypool.Envelope // non-nil: pipeline-processed datagram
-	timerKey int                  // data == nil && fn == nil: timer expiry
-	timerGen uint64               // generation the expiry belongs to
-	fn       func()               // externally injected action
+	data     []byte // non-nil: datagram
+	timerKey int    // data == nil && fn == nil: timer expiry
+	timerGen uint64 // generation the expiry belongs to
+	fn       func() // externally injected action
 }
 
 // Node runs one handler on a network. Create with Start; stop with Close.
 type Node struct {
 	id      int
 	h       proc.Handler
-	vh      proc.VerifiedHandler // non-nil iff started with StartPipelined
-	pool    *verifypool.Pool     // non-nil iff started with StartPipelined
 	net     Network
 	inbox   chan event
 	done    chan struct{}
@@ -79,8 +62,9 @@ type Node struct {
 	timerGen map[int]uint64
 	closed   bool
 
-	// drops counts datagrams and timer expiries discarded because the
-	// inbox was full; post runs on arbitrary goroutines, hence atomic.
+	// drops counts datagrams discarded because the inbox was full (timer
+	// expiries and injected actions wait for room instead); post runs on
+	// arbitrary goroutines, hence atomic.
 	drops atomic.Int64
 
 	// crashDump, when set, runs on the loop goroutine if the handler
@@ -119,8 +103,11 @@ func (e nodeEnv) SetTimer(key int, d time.Duration) {
 	}
 	n.timerGen[key]++
 	gen := n.timerGen[key]
+	// The expiry waits for inbox room rather than being dropped: timers
+	// re-arm only from their own OnTimer, so a lost expiry would silence
+	// the timer for good. The generation check discards it if stale.
 	n.timers[key] = time.AfterFunc(d, func() {
-		n.post(event{data: nil, timerKey: key, timerGen: gen})
+		_ = n.enqueue(event{timerKey: key, timerGen: gen})
 	})
 }
 
@@ -144,45 +131,7 @@ func (n *Node) timerCurrent(key int, gen uint64) bool {
 
 // Start registers the handler on the network and launches its event loop.
 func Start(id int, h proc.Handler, net Network) (*Node, error) {
-	n := newNode(id, h, net)
-	if err := net.Register(id, func(data []byte) { n.post(event{data: data}) }); err != nil {
-		return nil, fmt.Errorf("transport: registering node %d: %w", id, err)
-	}
-	n.wg.Add(1)
-	go n.loop()
-	return n, nil
-}
-
-// StartPipelined is Start with the multicore verification pipeline in
-// front of the handler: inbound datagrams are MAC-checked and decoded on
-// pcfg.Workers goroutines (internal/verifypool) before the event loop
-// hands them — still strictly serialized, still in per-sender arrival
-// order — to h.ReceiveVerified. pcfg.Deliver is set by this function;
-// pcfg.Keys must be the node's key table. Networks implementing
-// OwnedRegistrar (UDP) feed the pool zero-copy from a shared buffer
-// free-list; others fall through to the copying Submit path.
-func StartPipelined(id int, h proc.VerifiedHandler, net Network, pcfg verifypool.Config) (*Node, error) {
-	n := newNode(id, h, net)
-	n.vh = h
-	pcfg.Deliver = n.postEnvelope
-	n.pool = verifypool.New(pcfg)
-	var err error
-	if or, ok := net.(OwnedRegistrar); ok {
-		err = or.RegisterOwned(id, n.pool.Buffers(), n.pool.SubmitOwned)
-	} else {
-		err = net.Register(id, func(data []byte) { n.pool.Submit(data) })
-	}
-	if err != nil {
-		n.pool.Close()
-		return nil, fmt.Errorf("transport: registering node %d: %w", id, err)
-	}
-	n.wg.Add(1)
-	go n.loop()
-	return n, nil
-}
-
-func newNode(id int, h proc.Handler, net Network) *Node {
-	return &Node{
+	n := &Node{
 		id:       id,
 		h:        h,
 		net:      net,
@@ -192,38 +141,27 @@ func newNode(id int, h proc.Handler, net Network) *Node {
 		timers:   make(map[int]*time.Timer),
 		timerGen: make(map[int]uint64),
 	}
+	if err := net.Register(id, n.post); err != nil {
+		return nil, fmt.Errorf("transport: registering node %d: %w", id, err)
+	}
+	n.wg.Add(1)
+	go n.loop()
+	return n, nil
 }
 
-// Pool returns the node's verification pipeline, or nil when the node was
-// started with Start.
-func (n *Node) Pool() *verifypool.Pool { return n.pool }
-
-// post enqueues an event, reporting false (and counting a drop) if the
-// node is saturated or closed — datagram semantics: the protocol
-// retransmits.
-func (n *Node) post(ev event) bool {
+// post enqueues a datagram, dropping (and counting) it if the node is
+// saturated — datagram semantics: the protocol retransmits.
+func (n *Node) post(data []byte) {
 	select {
-	case n.inbox <- ev:
-		return true
+	case n.inbox <- event{data: data}:
 	case <-n.done:
-		return false
 	default:
 		// Inbox full: drop, like a kernel socket buffer.
 		n.drops.Add(1)
-		return false
 	}
 }
 
-// postEnvelope enqueues a pipeline-processed datagram, releasing it
-// immediately when the inbox refuses it (the loop releases delivered
-// ones). Runs on the pool's consumer goroutine.
-func (n *Node) postEnvelope(e *verifypool.Envelope) {
-	if !n.post(event{env: e}) {
-		e.Release()
-	}
-}
-
-// Dropped reports how many events were discarded on a full inbox.
+// Dropped reports how many datagrams were discarded on a full inbox.
 func (n *Node) Dropped() int64 { return n.drops.Load() }
 
 // Done returns a channel closed when the node stops. Waiters on injected
@@ -257,7 +195,10 @@ func (n *Node) SetCrashDump(fn func()) {
 }
 
 // Do runs fn on the node's event loop (used to inject client operations).
-func (n *Node) Do(fn func()) error {
+func (n *Node) Do(fn func()) error { return n.enqueue(event{fn: fn}) }
+
+// enqueue waits for inbox room, failing only once the node is closed.
+func (n *Node) enqueue(ev event) error {
 	// Check done first: a select with both cases ready picks randomly, and
 	// enqueueing onto a closed node must fail deterministically.
 	select {
@@ -266,7 +207,7 @@ func (n *Node) Do(fn func()) error {
 	default:
 	}
 	select {
-	case n.inbox <- event{fn: fn}:
+	case n.inbox <- ev:
 		return nil
 	case <-n.done:
 		return ErrClosed
@@ -293,8 +234,6 @@ func (n *Node) loop() {
 			switch {
 			case ev.fn != nil:
 				ev.fn()
-			case ev.env != nil:
-				n.receiveEnvelope(ev.env)
 			case ev.data != nil:
 				n.h.Receive(ev.data)
 			default:
@@ -304,21 +243,6 @@ func (n *Node) loop() {
 			}
 		}
 	}
-}
-
-// receiveEnvelope hands one pipeline-processed datagram to the handler on
-// the loop goroutine: pre-verified envelopes take the ReceiveVerified fast
-// path, passthrough kinds the ordinary Receive path. The envelope is
-// released once the handler returns.
-//
-//bftvet:allocfree
-func (n *Node) receiveEnvelope(e *verifypool.Envelope) {
-	if e.Verdict() == verifypool.VerdictVerified {
-		n.vh.ReceiveVerified(e.Bytes(), e)
-	} else {
-		n.h.Receive(e.Owned())
-	}
-	e.Release()
 }
 
 // Close stops the loop, cancels timers, and unregisters from the network.
@@ -331,12 +255,6 @@ func (n *Node) Close() {
 		}
 		n.mu.Unlock()
 		n.net.Unregister(n.id)
-		if n.pool != nil {
-			// Drain the pipeline after the readers stopped: in-flight
-			// envelopes are delivered (or dropped and released once the
-			// loop exits — postEnvelope never blocks).
-			n.pool.Close()
-		}
 		close(n.done)
 		n.wg.Wait()
 	})

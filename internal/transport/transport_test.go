@@ -312,3 +312,63 @@ func TestPublicClusterSurvivesLossyNetwork(t *testing.T) {
 	}
 	waitFor(t, "most messages through 20% loss", func() bool { return delivered() > 100 })
 }
+
+// rearmHandler blocks inside its first Receive until released and keeps
+// one timer re-arming itself from OnTimer, the way a replica's status and
+// recovery timers do.
+type rearmHandler struct {
+	env     proc.Env
+	blocked chan struct{} // closed once the first Receive is blocking
+	arm     chan struct{} // tells the blocked Receive to arm the timer
+	release chan struct{} // unblocks the first Receive
+	first   sync.Once
+	fires   atomic.Int64
+}
+
+func (h *rearmHandler) Init(env proc.Env) { h.env = env }
+
+func (h *rearmHandler) Receive([]byte) {
+	h.first.Do(func() {
+		close(h.blocked)
+		<-h.arm
+		h.env.SetTimer(1, time.Millisecond)
+		<-h.release
+	})
+}
+
+func (h *rearmHandler) OnTimer(key int) {
+	h.fires.Add(1)
+	h.env.SetTimer(key, time.Millisecond)
+}
+
+// TestTimerExpirySurvivesFullInbox pins that a timer expiry is never lost
+// to a saturated inbox. Timers re-arm only from their own OnTimer, so an
+// expiry dropped like a datagram would silence the timer for good.
+func TestTimerExpirySurvivesFullInbox(t *testing.T) {
+	net := NewChannelNetwork()
+	h := &rearmHandler{
+		blocked: make(chan struct{}),
+		arm:     make(chan struct{}),
+		release: make(chan struct{}),
+	}
+	n, err := Start(0, h, net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+
+	n.post([]byte("block"))
+	<-h.blocked
+	for i := 0; i <= cap(n.inbox); i++ {
+		n.post([]byte("flood"))
+	}
+	if n.Dropped() == 0 {
+		t.Fatal("inbox never filled")
+	}
+	// Arm the timer while the inbox is full and let it expire into it.
+	close(h.arm)
+	time.Sleep(50 * time.Millisecond)
+	close(h.release)
+
+	waitFor(t, "the re-arming timer to keep firing", func() bool { return h.fires.Load() >= 5 })
+}

@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 
 	"bftfast/internal/obs"
-	"bftfast/internal/verifypool"
 )
 
 // maxDatagram bounds UDP reads; the protocol's largest normal-case
@@ -39,8 +38,7 @@ type UDPNetwork struct {
 	conns map[int]*net.UDPConn
 	wg    sync.WaitGroup
 
-	oversized    atomic.Int64
-	backpressure atomic.Int64
+	oversized atomic.Int64
 }
 
 // Oversized reports how many inbound datagrams were dropped because they
@@ -49,18 +47,16 @@ type UDPNetwork struct {
 // the limit needs raising in lockstep on every node.
 func (u *UDPNetwork) Oversized() int64 { return u.oversized.Load() }
 
-// Backpressure reports how many inbound datagrams the receiver refused
-// (verification pipeline saturated): the user-space analogue of a kernel
-// socket-buffer drop. Only the RegisterOwned path can refuse; plain
-// Register callbacks always accept.
-func (u *UDPNetwork) Backpressure() int64 { return u.backpressure.Load() }
+// Backpressure always returns 0: every receive callback accepts every
+// datagram. It stays only because the end-to-end benchmark still reads it
+// as its transport.udp_backpressure metric.
+func (u *UDPNetwork) Backpressure() int64 { return 0 }
 
-// RegisterMetrics exposes the network's drop counters under prefix
+// RegisterMetrics exposes the network's drop counter under prefix
 // (e.g. "udp.") through the unified obs snapshot API. The gauges read
 // atomics and are safe to snapshot while readers run.
 func (u *UDPNetwork) RegisterMetrics(reg *obs.Registry, prefix string) {
 	reg.GaugeFunc(prefix+"oversized", u.oversized.Load)
-	reg.GaugeFunc(prefix+"backpressure", u.backpressure.Load)
 }
 
 // NewUDPNetwork builds a network from a node-id to address table.
@@ -76,17 +72,25 @@ func NewUDPNetwork(addrs map[int]string) (*UDPNetwork, error) {
 	return &UDPNetwork{addrs: resolved, conns: make(map[int]*net.UDPConn)}, nil
 }
 
-// bind opens and sizes the node's socket. Buffer-sizing errors are
-// ignored: kernels clamp oversized requests, and a socket with default
-// buffers still works — just drops earlier under load.
-func (u *UDPNetwork) bind(id int) (*net.UDPConn, error) {
+func sizeOrDefault(configured int) int {
+	if configured == 0 {
+		return defaultSocketBuffer
+	}
+	return configured
+}
+
+// Register implements Network: binds and sizes the node's socket and
+// starts its reader goroutine. Buffer-sizing errors are ignored: kernels
+// clamp oversized requests, and a socket with default buffers still works
+// — just drops earlier under load.
+func (u *UDPNetwork) Register(id int, recv func(data []byte)) error {
 	addr, ok := u.addrs[id]
 	if !ok {
-		return nil, fmt.Errorf("transport: no address for node %d", id)
+		return fmt.Errorf("transport: no address for node %d", id)
 	}
 	conn, err := net.ListenUDP("udp", addr)
 	if err != nil {
-		return nil, fmt.Errorf("transport: binding node %d: %w", id, err)
+		return fmt.Errorf("transport: binding node %d: %w", id, err)
 	}
 	if rb := sizeOrDefault(u.ReadBufferBytes); rb > 0 {
 		_ = conn.SetReadBuffer(rb)
@@ -97,23 +101,6 @@ func (u *UDPNetwork) bind(id int) (*net.UDPConn, error) {
 	u.mu.Lock()
 	u.conns[id] = conn
 	u.mu.Unlock()
-	return conn, nil
-}
-
-func sizeOrDefault(configured int) int {
-	if configured == 0 {
-		return defaultSocketBuffer
-	}
-	return configured
-}
-
-// Register implements Network: binds the node's socket and starts its
-// reader goroutine.
-func (u *UDPNetwork) Register(id int, recv func(data []byte)) error {
-	conn, err := u.bind(id)
-	if err != nil {
-		return err
-	}
 	u.wg.Add(1)
 	go func() {
 		defer u.wg.Done()
@@ -127,54 +114,6 @@ func (u *UDPNetwork) Register(id int, recv func(data []byte)) error {
 		}
 	}()
 	return nil
-}
-
-// RegisterOwned implements OwnedRegistrar: the reader draws buffers from
-// the shared free-list and transfers ownership to recv, so the hot path
-// performs no per-datagram allocation or copy (the free-list recycles
-// released buffers back to this reader).
-func (u *UDPNetwork) RegisterOwned(id int, bufs *verifypool.BufferPool, recv func(buf []byte, n int) bool) error {
-	if bufs.Size() < maxDatagram {
-		return fmt.Errorf("transport: buffer pool size %d below maxDatagram %d", bufs.Size(), maxDatagram)
-	}
-	conn, err := u.bind(id)
-	if err != nil {
-		return err
-	}
-	u.wg.Add(1)
-	go func() {
-		defer u.wg.Done()
-		buf := bufs.Get()
-		for {
-			n, _, err := conn.ReadFromUDP(buf)
-			if err != nil {
-				bufs.Put(buf)
-				return // closed
-			}
-			if u.deliverOwned(buf, n, recv) {
-				buf = bufs.Get()
-			}
-		}
-	}()
-	return nil
-}
-
-// deliverOwned hands one free-listed datagram buffer to recv, reporting
-// whether ownership transferred. Buffer-filling (possibly truncated)
-// datagrams are dropped as oversized, like deliver; a refusal by recv is
-// backpressure — the pipeline behind it is saturated.
-//
-//bftvet:allocfree
-func (u *UDPNetwork) deliverOwned(buf []byte, n int, recv func(buf []byte, n int) bool) bool {
-	if n >= len(buf) {
-		u.oversized.Add(1)
-		return false
-	}
-	if !recv(buf, n) {
-		u.backpressure.Add(1)
-		return false
-	}
-	return true
 }
 
 // deliver copies one received datagram of length n out of the reader's

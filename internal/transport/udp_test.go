@@ -71,8 +71,8 @@ func TestNodeMetricsSnapshot(t *testing.T) {
 	n.RegisterMetrics(reg, "node0.")
 
 	// An unserviced zero-capacity inbox forces the drop path.
-	n.post(event{data: []byte("x")})
-	n.post(event{data: []byte("y")})
+	n.post([]byte("x"))
+	n.post([]byte("y"))
 
 	if got := n.Dropped(); got != 2 {
 		t.Fatalf("Dropped() = %d, want 2", got)
@@ -93,5 +93,27 @@ func TestUDPDeliverCopiesOutOfReadBuffer(t *testing.T) {
 	copy(buf, "XXXXX")
 	if string(got) != "first" {
 		t.Fatalf("delivered data aliases the read buffer: %q", got)
+	}
+}
+
+// TestUDPSocketBufferSizing exercises the socket-buffer knobs: explicit
+// sizes and the leave-OS-default escape hatch must both register cleanly
+// (the kernel may clamp the values; the calls themselves must not fail
+// registration).
+func TestUDPSocketBufferSizing(t *testing.T) {
+	net, err := NewUDPNetwork(map[int]string{0: "127.0.0.1:48356", 1: "127.0.0.1:48357"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer net.Close()
+	net.ReadBufferBytes = 256 << 10
+	net.WriteBufferBytes = -1 // leave the OS default
+	if err := net.Register(0, func([]byte) {}); err != nil {
+		t.Fatal(err)
+	}
+	net.ReadBufferBytes = 0 // defaultSocketBuffer
+	net.WriteBufferBytes = 0
+	if err := net.Register(1, func([]byte) {}); err != nil {
+		t.Fatal(err)
 	}
 }

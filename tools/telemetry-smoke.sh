@@ -102,7 +102,7 @@ if [ -z "$phase_count" ] || [ "$phase_count" -lt 1 ]; then
     echo "telemetry-smoke: FAIL: no phase histogram samples in scrape" >&2
     exit 1
 fi
-for zero in bft_transport_inbox_drops bft_udp_oversized bft_verify_rejected; do
+for zero in bft_transport_inbox_drops bft_udp_oversized; do
     v=$(awk -v m="^$zero{" 'index($0, substr(m,2)) == 1 {print int($2)}' "$SCRAPE")
     if [ -n "$v" ] && [ "$v" -ne 0 ]; then
         echo "telemetry-smoke: FAIL: $zero=$v on loopback, want 0" >&2
